@@ -65,11 +65,6 @@ object Table3Job {
   }
 }
 
-/** Table 4 standalone (runs the same experiment as Table3Job). */
-object Table4Job {
-  def main(args: Array[String]): Unit = Table3Job.main(args)
-}
-
 /** Table 5: robustness to future queries (HQI trained on t0 only). */
 object Table5Job {
   def main(args: Array[String]): Unit = {

@@ -1,17 +1,13 @@
 package repro.core.engine
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
-import org.apache.spark.util.LongAccumulator
+import org.apache.spark.TaskContext
+import org.apache.spark.sql.Row
 
 import scala.collection.mutable
 
 import repro.core.ivf.IVF
 import repro.core.qdtree.Pred
-import repro.core.vec.{Metric, TopK, VectorOps}
-import repro.core.vec.BatchScorer
+import repro.core.vec.{BatchScorer, Metric, TopK}
 import repro.workload.Workload
 
 /** Execution options for one batch pass (Algorithm 3 plus the §2.2 baseline
@@ -70,12 +66,10 @@ final case class EngineRun(results: Map[Long, Array[(Long, Float)]], metrics: En
 object BatchEngine {
 
   /** Serializable plan shipped to executors. Probe keys pack (part, cell). */
-  private final case class ExecPlan(queryQids: Array[Long],
-                                    queryTids: Array[Int],
+  private final case class ExecPlan(queryTids: Array[Int],
                                     queryVecs: Array[Array[Float]],
                                     templates: Map[Int, Seq[Pred]],
                                     probes: Map[Long, Array[Int]],
-                                    attrCols: Seq[String],
                                     indexId: String,
                                     metric: Metric,
                                     heapK: Int,
@@ -84,15 +78,24 @@ object BatchEngine {
                                     postFilter: Boolean,
                                     eagerBitmap: Boolean)
 
+  /** One task's output: its per-query heaps flattened into parallel arrays of
+    * (query index, score, id, whether the id satisfies the query's template),
+    * plus the task's work counters. Returned as the task result, so each
+    * counter is added exactly once per partition.
+    */
+  private final case class TaskResult(qis: Array[Int], scores: Array[Float], ids: Array[Long],
+                                      matches: Array[Boolean],
+                                      tuplesScanned: Long, distComps: Long, filterRows: Long)
+
   private def key(part: Int, cell: Int): Long = (part.toLong << 32) | (cell.toLong & 0xffffffffL)
 
   /** Execute a hybrid-query workload against a partitioned index in one
-    * distributed pass (plus a Catalyst window merge), per Algorithm 3.
+    * distributed pass, per Algorithm 3: one Spark job scans every partition
+    * and the driver merges the per-task heaps into one top-k per query.
     */
   def run(index: PartitionedIndex, workload: Workload, opts: EngineOptions): EngineRun = {
     val t0 = System.currentTimeMillis()
-    val spark = index.data.sparkSession
-    val sc = spark.sparkContext
+    val sc = index.data.sparkSession.sparkContext
 
     // ---- Driver planning: route queries to partitions, pick probe cells. ----
     val nq = workload.queries.length
@@ -161,18 +164,14 @@ object BatchEngine {
     }
 
     val plan = ExecPlan(
-      qQids, qTids, qVecs,
+      qTids, qVecs,
       workload.templates.map(t => t.id -> t.preds).toMap,
       probes.iterator.map { case (k, b) => k -> b.result() }.toMap,
-      index.attrCols, index.indexId, index.metric, opts.heapK,
+      index.indexId, index.metric, opts.heapK,
       opts.vectorBatching, opts.attrBatching, opts.postFilter, opts.eagerBitmap)
     val planB = sc.broadcast(plan)
 
-    val accScanned = sc.longAccumulator("tuplesScanned")
-    val accDist = sc.longAccumulator("distComps")
-    val accFilter = sc.longAccumulator("filterRows")
-
-    // ---- Distributed scan (Algorithm 3 per Spark partition). ----
+    // ---- Distributed scan (Algorithm 3 per Spark partition), one job. ----
     val schema = index.data.schema
     val idIdx = schema.fieldIndex("id")
     val vecIdx = schema.fieldIndex("vec")
@@ -180,50 +179,33 @@ object BatchEngine {
     val clusterIdx = schema.fieldIndex(IndexBuilder.ClusterCol)
     val attrIdx: Seq[(String, Int)] = index.attrCols.map(a => a -> schema.fieldIndex(a))
 
-    val resultRdd = index.data.rdd.mapPartitions { rows =>
-      scanPartition(rows, planB.value, idIdx, vecIdx, partIdx, clusterIdx, attrIdx,
-                    accScanned, accDist, accFilter)
+    val parts = index.data.rdd.mapPartitions { rows =>
+      Iterator.single(scanPartition(rows, planB.value, idIdx, vecIdx, partIdx, clusterIdx, attrIdx))
+    }.collect()
+
+    // ---- Global top-k merge on the driver: one heap per query. ----
+    // Strategy D keeps the global top-heapK first and filters afterwards, so
+    // candidates failing their template only drop out after the merge.
+    val heaps = new Array[TopK](nq)
+    val rejected = mutable.HashSet.empty[(Int, Long)]
+    for (p <- parts; i <- p.qis.indices) {
+      val qi = p.qis(i)
+      if (heaps(qi) == null) heaps(qi) = new TopK(opts.heapK)
+      heaps(qi).push(p.scores(i), p.ids(i))
+      if (!p.matches(i)) rejected += ((qi, p.ids(i)))
     }
-
-    val resultSchema = StructType(Seq(
-      StructField("qid", LongType, nullable = false),
-      StructField("tid", IntegerType, nullable = false),
-      StructField("id", LongType, nullable = false),
-      StructField("score", FloatType, nullable = false)))
-    val partial = spark.createDataFrame(resultRdd, resultSchema)
-
-    // ---- Global top-k merge (Catalyst window). ----
-    val w = Window.partitionBy("qid").orderBy(col("score").asc, col("id").asc)
-    val merged: DataFrame =
-      if (!opts.postFilter) {
-        partial.withColumn("rank", row_number().over(w)).filter(col("rank") <= opts.k)
-      } else {
-        // Strategy D: global top-heapK first, attribute filter afterwards.
-        val kept = partial.withColumn("rank0", row_number().over(w))
-          .filter(col("rank0") <= opts.heapK).drop("rank0")
-        val matchDf = workload.templates.map { t =>
-          index.data.filter(Pred.and(t.preds)).select(col("id"), lit(t.id).as("tid"))
-        }.reduce(_ unionByName _)
-        kept.join(matchDf, Seq("tid", "id"), "left_semi")
-          .withColumn("rank", row_number().over(w)).filter(col("rank") <= opts.k)
-      }
-
-    val collected = merged.select("qid", "id", "score").collect()
-    val results: Map[Long, Array[(Long, Float)]] =
-      collected.groupBy(_.getLong(0)).map { case (qid, rs) =>
-        qid -> rs.map(r => (r.getLong(1), r.getFloat(2))).sortBy(t => (t._2, t._1))
-      }
+    val results = (for {
+      qi <- 0 until nq if heaps(qi) != null
+      kept = heaps(qi).sorted.filterNot(c => rejected((qi, c._2))).take(opts.k)
+      if kept.nonEmpty
+    } yield qQids(qi) -> kept.map { case (score, id) => (id, score) }).toMap
 
     val wall = System.currentTimeMillis() - t0
     planB.destroy()
-    EngineRun(results,
-      EngineMetrics(accScanned.value, accDist.value, accFilter.value, routedTuples, wall))
+    EngineRun(results, EngineMetrics(parts.map(_.tuplesScanned).sum, parts.map(_.distComps).sum,
+                                     parts.map(_.filterRows).sum, routedTuples, wall))
   }
 
-  /** Per-Spark-partition execution: group local rows into (part, cell)
-    * posting lists, then evaluate each (filter, cell) query group — one
-    * filter pass (bitmap) and one batched score kernel per group.
-    */
   /** One materialized posting-list entry held in the executor-side cache. */
   private[engine] final class Entry(val id: Long, val vec: Array[Float], val attrs: Array[Any])
 
@@ -258,11 +240,14 @@ object BatchEngine {
     }
   }
 
+  /** Per-Spark-partition execution: group local rows into (part, cell)
+    * posting lists, then evaluate each (filter, cell) query group — one
+    * filter pass (bitmap) and one batched score kernel per group.
+    */
   private def scanPartition(rows: Iterator[Row], plan: ExecPlan,
                             idIdx: Int, vecIdx: Int, partIdx: Int, clusterIdx: Int,
-                            attrIdx: Seq[(String, Int)],
-                            accScanned: LongAccumulator, accDist: LongAccumulator,
-                            accFilter: LongAccumulator): Iterator[Row] = {
+                            attrIdx: Seq[(String, Int)]): TaskResult = {
+    var tuplesScanned = 0L; var distComps = 0L; var filterRows = 0L
     // Compile each template's predicates against positions in the per-row
     // attribute array, so filter evaluation is array indexing, not map
     // lookups, on the hot path.
@@ -274,7 +259,7 @@ object BatchEngine {
 
     // Decode this Spark partition's posting lists once per index; later
     // passes over the same index partition hit the cache.
-    val cacheKey = (plan.indexId, org.apache.spark.TaskContext.getPartitionId())
+    val cacheKey = (plan.indexId, TaskContext.getPartitionId())
     val cells: mutable.HashMap[Long, Array[Entry]] = {
       val hit = CellCache.get(cacheKey)
       if (hit != null) hit
@@ -297,23 +282,20 @@ object BatchEngine {
       }
     }
 
-    def evalFilter(preds: Array[(Pred, Int)], buf: Array[Entry]): Array[Boolean] = {
-      accFilter.add(buf.length)
-      val out = new Array[Boolean](buf.length)
-      var i = 0
-      while (i < buf.length) {
-        val attrs = buf(i).attrs
-        var ok = true
-        var p = 0
-        while (ok && p < preds.length) {
-          val (pred, pos) = preds(p)
-          ok = pred.evalValue(if (pos >= 0) attrs(pos) else null)
-          p += 1
-        }
-        out(i) = ok
-        i += 1
+    def matches(preds: Array[(Pred, Int)], attrs: Array[Any]): Boolean = {
+      var ok = true
+      var p = 0
+      while (ok && p < preds.length) {
+        val (pred, pos) = preds(p)
+        ok = pred.evalValue(if (pos >= 0) attrs(pos) else null)
+        p += 1
       }
-      out
+      ok
+    }
+
+    def evalFilter(preds: Array[(Pred, Int)], buf: Array[Entry]): Array[Boolean] = {
+      filterRows += buf.length
+      buf.map(e => matches(preds, e.attrs))
     }
 
     // Strategy B's full-dataset bitmap construction: every template's filter
@@ -327,12 +309,12 @@ object BatchEngine {
 
     val heaps = mutable.HashMap.empty[Int, TopK]
     def heapOf(qi: Int): TopK = heaps.getOrElseUpdate(qi, new TopK(plan.heapK))
-    val scorer = new repro.core.vec.BatchScorer
+    val scorer = new BatchScorer
 
     for ((ck, buf) <- cells; qidxs <- plan.probes.get(ck)) {
       val byTemplate = qidxs.groupBy(plan.queryTids(_))
       for ((tid, qs) <- byTemplate) {
-        accScanned.add(buf.length.toLong * qs.length)
+        tuplesScanned += buf.length.toLong * qs.length
         val mask: Array[Boolean] =
           if (plan.postFilter) null
           else if (plan.eagerBitmap) eagerMasks((ck, tid))
@@ -352,7 +334,7 @@ object BatchEngine {
           while (i < buf.length) { if (mask == null || mask(i)) candIdx += i; i += 1 }
           val cand = candIdx.result()
           if (cand.nonEmpty) {
-            accDist.add(cand.length.toLong * qs.length)
+            distComps += cand.length.toLong * qs.length
             val qvecs = qs.map(plan.queryVecs(_))
             val candVecs = cand.map(buf(_).vec)
             val flat = scorer.scores(qvecs, candVecs, plan.metric)
@@ -384,15 +366,23 @@ object BatchEngine {
             }
             a += 1
           }
-          accDist.add(dist)
+          distComps += dist
         }
       }
     }
 
-    heaps.iterator.flatMap { case (qi, h) =>
-      h.sorted.iterator.map { case (score, id) =>
-        Row(plan.queryQids(qi), plan.queryTids(qi), id, score)
-      }
+    // PostFilter tags each survivor with its template match for the driver;
+    // under pushdown every heap entry already passed the filter.
+    lazy val byId = mutable.LongMap.from(cells.valuesIterator.flatten.map(e => e.id -> e))
+    val qis = new mutable.ArrayBuilder.ofInt
+    val scores = new mutable.ArrayBuilder.ofFloat
+    val ids = new mutable.ArrayBuilder.ofLong
+    val matched = new mutable.ArrayBuilder.ofBoolean
+    for ((qi, h) <- heaps; (score, id) <- h.sorted) {
+      qis += qi; scores += score; ids += id
+      matched += !plan.postFilter || matches(compiled(plan.queryTids(qi)), byId(id).attrs)
     }
+    TaskResult(qis.result(), scores.result(), ids.result(), matched.result(),
+               tuplesScanned, distComps, filterRows)
   }
 }

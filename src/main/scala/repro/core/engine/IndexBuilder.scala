@@ -1,6 +1,6 @@
 package repro.core.engine
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.roaringbitmap.RoaringBitmap
 

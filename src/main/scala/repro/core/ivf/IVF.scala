@@ -34,8 +34,4 @@ object IVF {
     */
   def assign(vec: Array[Float], centroids: Array[Array[Float]]): Int =
     VectorOps.nearest(vec, centroids, AssignMetric)
-
-  /** The `nprobe` cells a query vector should scan, closest first. */
-  def probeCells(q: Array[Float], centroids: Array[Array[Float]], nprobe: Int): Array[Int] =
-    VectorOps.nearestN(q, centroids, nprobe, AssignMetric)
 }

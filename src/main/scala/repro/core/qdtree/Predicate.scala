@@ -9,18 +9,17 @@ import org.apache.spark.sql.functions._
   * Each predicate can be evaluated two ways, and both must agree:
   *   - [[Pred.toColumn]] — as a Catalyst [[Column]], for the distributed
   *     predicate-support pass and for filter pushdown;
-  *   - [[Pred.eval]] — on an attribute map inside `mapPartitions`, for
-  *     per-cell filter bitmaps during batch search.
+  *   - [[Pred.evalValue]] — on one attribute value inside `mapPartitions`,
+  *     for per-cell filter bitmaps during batch search.
   *
-  * Attribute values are `Double` (numeric), `String` (categorical) or absent
-  * (`null` / missing key = SQL NULL; every comparison on NULL is false, as in
-  * SQL three-valued logic collapsed to a filter).
+  * Attribute values are `Double` (numeric), `String` (categorical) or `null`
+  * (SQL NULL; every comparison on NULL is false, as in SQL three-valued logic
+  * collapsed to a filter).
   */
 sealed trait Pred extends Serializable {
   def attr: String
   /** Value-level semantics: `v` is the attribute's value or null (SQL NULL). */
   def evalValue(v: Any): Boolean
-  def eval(attrs: Map[String, Any]): Boolean = evalValue(attrs.getOrElse(attr, null))
   def toColumn: Column
   /** Stable display form; doubles as the cut-predicate identity. */
   def describe: String
@@ -98,8 +97,4 @@ object Pred {
   /** Conjunction of predicates as one Catalyst filter column. */
   def and(preds: Seq[Pred]): Column =
     preds.map(_.toColumn).reduceOption(_ && _).getOrElse(lit(true))
-
-  /** Driver/executor-side conjunction evaluation. */
-  def evalAll(preds: Seq[Pred], attrs: Map[String, Any]): Boolean =
-    preds.forall(_.eval(attrs))
 }

@@ -54,22 +54,6 @@ object VectorOps {
   private[vec] lazy val blas: Option[dev.ludovic.netlib.blas.BLAS] =
     try Some(dev.ludovic.netlib.blas.BLAS.getInstance) catch { case _: Throwable => None }
 
-  /** Batched lower-is-better scores: `out(i)(j) = metric.score(queries(i), data(j))`.
-    *
-    * Convenience wrapper over [[BatchScorer]] that materializes row arrays;
-    * hot paths should hold a [[BatchScorer]] and read its flat buffer.
-    */
-  def batchScores(queries: Array[Array[Float]], data: Array[Array[Float]], metric: Metric): Array[Array[Float]] = {
-    val m = queries.length; val n = data.length
-    val out = Array.ofDim[Float](m, n)
-    if (m == 0 || n == 0) return out
-    val scorer = new BatchScorer
-    val flat = scorer.scores(queries, data, metric)
-    var i = 0
-    while (i < m) { System.arraycopy(flat, i * n, out(i), 0, n); i += 1 }
-    out
-  }
-
   /** Index of the nearest (lowest-score) centroid. */
   def nearest(q: Array[Float], centroids: Array[Array[Float]], metric: Metric): Int = {
     var best = 0; var bestS = Float.MaxValue; var i = 0

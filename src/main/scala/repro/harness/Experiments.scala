@@ -1,6 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 import repro.core.engine._
 import repro.core.qdtree.Pred

@@ -6,7 +6,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.datasource.{HQIDataSource, HQIStore}
+import repro.core.datasource.HQIStore
 import repro.core.engine._
 import repro.core.qdtree.Pred
 import repro.core.vec.Metric

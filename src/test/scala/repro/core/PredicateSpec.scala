@@ -24,60 +24,51 @@ class PredicateSpec extends SparkSpec {
     spark.createDataFrame(spark.sparkContext.parallelize(data.toSeq, 2), schema)
   }
 
-  private def attrs(t: String, p: java.lang.Double): Map[String, Any] = {
-    val b = Map.newBuilder[String, Any]
-    if (t != null) b += "etype" -> t
-    if (p != null) b += "pop" -> p.doubleValue
-    b.result()
-  }
+  /** Row form as the engine evaluates it: the predicate's attribute value,
+    * null for SQL NULL.
+    */
+  private def evalRow(p: Pred, r: Row): Boolean = p.evalValue(r.getAs[Any](p.attr))
 
   test("NumCmp evaluates all five operators") {
-    val a = attrs(null, 5.0)
-    assert(NumCmp("pop", Lt, 6.0).eval(a))
-    assert(!NumCmp("pop", Lt, 5.0).eval(a))
-    assert(NumCmp("pop", Le, 5.0).eval(a))
-    assert(NumCmp("pop", Gt, 4.0).eval(a))
-    assert(!NumCmp("pop", Gt, 5.0).eval(a))
-    assert(NumCmp("pop", Ge, 5.0).eval(a))
-    assert(NumCmp("pop", EqOp, 5.0).eval(a))
-    assert(!NumCmp("pop", EqOp, 5.5).eval(a))
+    val v = 5.0
+    assert(NumCmp("pop", Lt, 6.0).evalValue(v))
+    assert(!NumCmp("pop", Lt, 5.0).evalValue(v))
+    assert(NumCmp("pop", Le, 5.0).evalValue(v))
+    assert(NumCmp("pop", Gt, 4.0).evalValue(v))
+    assert(!NumCmp("pop", Gt, 5.0).evalValue(v))
+    assert(NumCmp("pop", Ge, 5.0).evalValue(v))
+    assert(NumCmp("pop", EqOp, 5.0).evalValue(v))
+    assert(!NumCmp("pop", EqOp, 5.5).evalValue(v))
   }
 
   test("NumCmp on a NULL attribute is false (SQL semantics)") {
-    val a = attrs("person", null)
-    Seq(Lt, Le, Gt, Ge, EqOp).foreach(op => assert(!NumCmp("pop", op, 0.0).eval(a)))
+    Seq(Lt, Le, Gt, Ge, EqOp).foreach(op => assert(!NumCmp("pop", op, 0.0).evalValue(null)))
   }
 
   test("StrEq matches exactly; NULL is false") {
-    assert(StrEq("etype", "person").eval(attrs("person", null)))
-    assert(!StrEq("etype", "person").eval(attrs("song", null)))
-    assert(!StrEq("etype", "person").eval(attrs(null, 1.0)))
+    assert(StrEq("etype", "person").evalValue("person"))
+    assert(!StrEq("etype", "person").evalValue("song"))
+    assert(!StrEq("etype", "person").evalValue(null))
   }
 
   test("In membership; NULL is false") {
     val p = In("etype", Set("song", "film"))
-    assert(p.eval(attrs("song", null)))
-    assert(p.eval(attrs("film", null)))
-    assert(!p.eval(attrs("person", null)))
-    assert(!p.eval(attrs(null, null)))
+    assert(p.evalValue("song"))
+    assert(p.evalValue("film"))
+    assert(!p.evalValue("person"))
+    assert(!p.evalValue(null))
   }
 
   test("NotNull checks presence") {
-    assert(NotNull("pop").eval(attrs(null, 1.0)))
-    assert(!NotNull("pop").eval(attrs("x", null)))
+    assert(NotNull("pop").evalValue(1.0))
+    assert(!NotNull("pop").evalValue(null))
   }
 
   test("CentroidEq reads the reserved centroid attribute") {
-    assert(CentroidEq(3).eval(Map(Pred.CentroidAttr -> 3)))
-    assert(!CentroidEq(3).eval(Map(Pred.CentroidAttr -> 4)))
-    assert(!CentroidEq(3).eval(Map.empty))
-  }
-
-  test("evalAll is conjunction; empty conjunction is true") {
-    val a = attrs("person", 0.9)
-    assert(Pred.evalAll(Seq(StrEq("etype", "person"), NumCmp("pop", Ge, 0.5)), a))
-    assert(!Pred.evalAll(Seq(StrEq("etype", "person"), NumCmp("pop", Ge, 0.95)), a))
-    assert(Pred.evalAll(Nil, a))
+    assert(CentroidEq(3).attr == Pred.CentroidAttr)
+    assert(CentroidEq(3).evalValue(3))
+    assert(!CentroidEq(3).evalValue(4))
+    assert(!CentroidEq(3).evalValue(null))
   }
 
   test("describe is stable and distinct across predicate kinds") {
@@ -101,10 +92,7 @@ class PredicateSpec extends SparkSpec {
       NumCmp("pop", EqOp, 0.7), NumCmp("pop", Le, 0.2), NumCmp("pop", Gt, 0.9))
     for (p <- preds) {
       val viaColumn = d.filter(p.toColumn).select("id").collect().map(_.getLong(0)).toSet
-      val viaEval = d.collect().filter { r =>
-        p.eval(attrs(if (r.isNullAt(1)) null else r.getString(1),
-                     if (r.isNullAt(2)) null else Double.box(r.getDouble(2))))
-      }.map(_.getLong(0)).toSet
+      val viaEval = d.collect().filter(evalRow(p, _)).map(_.getLong(0)).toSet
       assert(viaColumn == viaEval, s"${p.describe}: column=$viaColumn eval=$viaEval")
     }
   }
@@ -123,10 +111,7 @@ class PredicateSpec extends SparkSpec {
     val collected = d.collect()
     for (p <- preds) {
       val viaColumn = d.filter(p.toColumn).select("id").collect().map(_.getLong(0)).toSet
-      val viaEval = collected.filter { r =>
-        p.eval(attrs(if (r.isNullAt(1)) null else r.getString(1),
-                     if (r.isNullAt(2)) null else Double.box(r.getDouble(2))))
-      }.map(_.getLong(0)).toSet
+      val viaEval = collected.filter(evalRow(p, _)).map(_.getLong(0)).toSet
       assert(viaColumn == viaEval, p.describe)
     }
   }

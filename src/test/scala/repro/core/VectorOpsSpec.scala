@@ -3,12 +3,21 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-import repro.core.vec.{Metric, TopK, VectorOps}
+import repro.core.vec.{BatchScorer, Metric, TopK, VectorOps}
 
 class VectorOpsSpec extends AnyFunSuite {
 
   private def randGridVec(rnd: Random, d: Int): Array[Float] =
     Array.fill(d)((rnd.nextInt(65) - 32) / 8.0f) // multiples of 1/8: exact in float
+
+  // The batchScores cases exercise the batched kernel, BatchScorer.scores,
+  // whose flat m×n output holds score(q(i), d(j)) at i * n + j.
+  private def assertPairwise(q: Array[Array[Float]], d: Array[Array[Float]], m: Metric): Unit = {
+    val flat = new BatchScorer().scores(q, d, m)
+    for (i <- q.indices; j <- d.indices)
+      assert(flat(i * d.length + j) == m.score(q(i), d(j)),
+             s"${m.name} mismatch at ($i,$j): ${flat(i * d.length + j)} vs ${m.score(q(i), d(j))}")
+  }
 
   test("l2Sq of identical vectors is zero") {
     val v = Array(1f, 2f, 3f)
@@ -48,23 +57,14 @@ class VectorOpsSpec extends AnyFunSuite {
   test("batchScores(L2) equals pairwise scores on exactly representable data") {
     val rnd = new Random(2)
     for (_ <- 0 until 50) {
-      val q = Array.fill(4)(randGridVec(rnd, 6))
-      val d = Array.fill(9)(randGridVec(rnd, 6))
-      val batch = VectorOps.batchScores(q, d, Metric.L2)
-      for (i <- q.indices; j <- d.indices)
-        assert(batch(i)(j) == Metric.L2.score(q(i), d(j)),
-               s"mismatch at ($i,$j): ${batch(i)(j)} vs ${Metric.L2.score(q(i), d(j))}")
+      assertPairwise(Array.fill(4)(randGridVec(rnd, 6)), Array.fill(9)(randGridVec(rnd, 6)), Metric.L2)
     }
   }
 
   test("batchScores(IP) equals pairwise scores") {
     val rnd = new Random(3)
     for (_ <- 0 until 50) {
-      val q = Array.fill(3)(randGridVec(rnd, 6))
-      val d = Array.fill(7)(randGridVec(rnd, 6))
-      val batch = VectorOps.batchScores(q, d, Metric.IP)
-      for (i <- q.indices; j <- d.indices)
-        assert(batch(i)(j) == Metric.IP.score(q(i), d(j)))
+      assertPairwise(Array.fill(3)(randGridVec(rnd, 6)), Array.fill(7)(randGridVec(rnd, 6)), Metric.IP)
     }
   }
 
@@ -74,20 +74,15 @@ class VectorOpsSpec extends AnyFunSuite {
     val rnd = new Random(11)
     val q = Array.fill(32)(randGridVec(rnd, 8))
     val d = Array.fill(40)(randGridVec(rnd, 8))
-    for (m <- Seq[Metric](Metric.L2, Metric.IP)) {
-      val batch = VectorOps.batchScores(q, d, m)
-      for (i <- q.indices; j <- d.indices)
-        assert(batch(i)(j) == m.score(q(i), d(j)), s"${m.name} mismatch at ($i,$j)")
-    }
+    for (m <- Seq[Metric](Metric.L2, Metric.IP)) assertPairwise(q, d, m)
   }
 
   test("batchScores with empty data returns empty rows") {
-    val out = VectorOps.batchScores(Array(Array(1f, 2f)), Array.empty, Metric.L2)
-    assert(out.length == 1 && out(0).isEmpty)
+    assert(new BatchScorer().scores(Array(Array(1f, 2f)), Array.empty, Metric.L2).isEmpty)
   }
 
   test("batchScores with no queries returns no rows") {
-    assert(VectorOps.batchScores(Array.empty, Array(Array(1f)), Metric.L2).isEmpty)
+    assert(new BatchScorer().scores(Array.empty, Array(Array(1f)), Metric.L2).isEmpty)
   }
 
   test("nearest returns the argmin centroid") {

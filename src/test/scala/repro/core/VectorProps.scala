@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 
-import repro.core.vec.{Metric, TopK, VectorOps}
+import repro.core.vec.{BatchScorer, Metric, TopK, VectorOps}
 
 /** ScalaCheck property suite for the vector kernels (runs under the
   * scalacheck sbt framework alongside the ScalaTest suites).
@@ -25,12 +25,13 @@ object VectorProps extends Properties("vec") {
     VectorOps.dot(a2, b) == 2f * VectorOps.dot(a, b)
   }
 
+  // batchScores is the batched kernel, BatchScorer.scores (flat m×n output).
   property("batchScores matches pairwise for both metrics") =
     Prop.forAll(Gen.listOfN(3, vec(5)), Gen.listOfN(5, vec(5)),
                 Gen.oneOf(Metric.L2: Metric, Metric.IP: Metric)) { (qs, ds, m) =>
       val q = qs.toArray; val d = ds.toArray
-      val batch = VectorOps.batchScores(q, d, m)
-      q.indices.forall(i => d.indices.forall(j => batch(i)(j) == m.score(q(i), d(j))))
+      val flat = new BatchScorer().scores(q, d, m)
+      q.indices.forall(i => d.indices.forall(j => flat(i * d.length + j) == m.score(q(i), d(j))))
     }
 
   property("TopK == sort-take") =
