@@ -5,7 +5,7 @@ import scala.util.Random
 
 import repro.SparkSpec
 import repro.core.engine._
-import repro.core.vec.{BatchScorer, Metric, VectorOps}
+import repro.core.vec.{BatchScorer, Block, Metric}
 import repro.workload.{KGData, Templates}
 
 /** §6.3 microbenchmarks: the effect of each batching knob in isolation
@@ -45,15 +45,16 @@ class MicrobenchBench extends SparkSpec {
     val n = 8192    // posting list length
     val queries = Array.fill(g)(Array.fill(d)(rnd.nextFloat()))
     val data = Array.fill(n)(Array.fill(d)(rnd.nextFloat()))
+    val block = Block(Array.tabulate(n)(_.toLong), data, d)
     val scorer = new BatchScorer
 
     def timeMs(f: => Unit): Long = { val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1000000 }
     // warmup
-    scorer.scores(queries, data, Metric.L2)
+    scorer.scores(queries, block, Metric.L2)
     var sink = 0f
     for (q <- queries.take(32); v <- data.take(256)) sink += Metric.L2.score(q, v)
 
-    val batched = timeMs { var r = 0; while (r < 10) { scorer.scores(queries, data, Metric.L2); r += 1 } }
+    val batched = timeMs { var r = 0; while (r < 10) { scorer.scores(queries, block, Metric.L2); r += 1 } }
     val perPair = timeMs {
       var r = 0
       while (r < 10) {

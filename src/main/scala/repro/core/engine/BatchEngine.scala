@@ -7,7 +7,7 @@ import scala.collection.mutable
 
 import repro.core.ivf.IVF
 import repro.core.qdtree.Pred
-import repro.core.vec.{BatchScorer, Metric, TopK}
+import repro.core.vec.{BatchScorer, Block, Metric, TopK}
 import repro.workload.Workload
 
 /** Execution options for one batch pass (Algorithm 3 plus the §2.2 baseline
@@ -87,7 +87,7 @@ object BatchEngine {
                                       matches: Array[Boolean],
                                       tuplesScanned: Long, distComps: Long, filterRows: Long)
 
-  private def key(part: Int, cell: Int): Long = (part.toLong << 32) | (cell.toLong & 0xffffffffL)
+  private[engine] def key(part: Int, cell: Int): Long = (part.toLong << 32) | (cell.toLong & 0xffffffffL)
 
   /** Execute a hybrid-query workload against a partitioned index in one
     * distributed pass, per Algorithm 3: one Spark job scans every partition
@@ -118,6 +118,8 @@ object BatchEngine {
     // nprobe semantics comparable across single- and multi-partition layouts.
     val perQueryCells = new Array[Array[Long]](nq)
     val routedSizes = new Array[Long](nq)
+    val centroidBlocks = index.centroidBlocks
+    val scorers = ThreadLocal.withInitial(() => new BatchScorer)
     val planQuery: Int => Unit = { qi =>
       val q = workload.queries(qi)
       qQids(qi) = q.qid; qTids(qi) = q.templateId; qVecs(qi) = q.vec
@@ -136,15 +138,13 @@ object BatchEngine {
       } else {
         val np = opts.nprobe.getOrElse(q.templateId, opts.defaultNprobe)
         val heap = new TopK(np)
+        val scorer = scorers.get()
+        val qv = Array(q.vec)
         for (part <- routed) {
-          val cents = index.leafById(part).centroids
-          var ci = 0
-          while (ci < cents.length) {
-            heap.push(IVF.AssignMetric.score(q.vec, cents(ci)), key(part, ci))
-            ci += 1
-          }
+          val cents = centroidBlocks(part)
+          scorer.push(heap, scorer.scores(qv, cents, IVF.AssignMetric), 0, cents)
         }
-        perQueryCells(qi) = heap.sorted.map(_._2)
+        perQueryCells(qi) = Array.tabulate(heap.size)(heap.idAt)
       }
     }
     // Cell ranking over routed partitions is the planning hot loop —
@@ -206,8 +206,11 @@ object BatchEngine {
                                      parts.map(_.filterRows).sum, routedTuples, wall))
   }
 
-  /** One materialized posting-list entry held in the executor-side cache. */
-  private[engine] final class Entry(val id: Long, val vec: Array[Float], val attrs: Array[Any])
+  /** One IVF cell's posting list as cached on an executor: its rows' ids and
+    * vectors as one d-major [[Block]] (the only copy of the vectors), and
+    * each row's attribute values.
+    */
+  private[engine] final class Cell(val block: Block, val attrs: Array[Array[Any]])
 
   /** Executor-side posting-list cache: a [[PartitionedIndex]] is immutable
     * once built, so each Spark partition's decoded posting lists are parsed
@@ -217,13 +220,13 @@ object BatchEngine {
     */
   private[engine] object CellCache {
     private val cache =
-      new java.util.concurrent.ConcurrentHashMap[(String, Int), mutable.HashMap[Long, Array[Entry]]]()
+      new java.util.concurrent.ConcurrentHashMap[(String, Int), mutable.HashMap[Long, Cell]]()
     private val order = new java.util.concurrent.ConcurrentLinkedQueue[(String, Int)]()
     private val MaxKeys = 512
 
-    def get(k: (String, Int)): mutable.HashMap[Long, Array[Entry]] = cache.get(k)
+    def get(k: (String, Int)): mutable.HashMap[Long, Cell] = cache.get(k)
 
-    def put(k: (String, Int), v: mutable.HashMap[Long, Array[Entry]]): Unit = {
+    def put(k: (String, Int), v: mutable.HashMap[Long, Cell]): Unit = {
       if (cache.putIfAbsent(k, v) == null) {
         order.add(k)
         while (cache.size > MaxKeys) {
@@ -260,11 +263,11 @@ object BatchEngine {
     // Decode this Spark partition's posting lists once per index; later
     // passes over the same index partition hit the cache.
     val cacheKey = (plan.indexId, TaskContext.getPartitionId())
-    val cells: mutable.HashMap[Long, Array[Entry]] = {
+    val cells: mutable.HashMap[Long, Cell] = {
       val hit = CellCache.get(cacheKey)
       if (hit != null) hit
       else {
-        val built = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Entry]]
+        val built = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, Array[Float], Array[Any])]]
         rows.foreach { r =>
           val k = key(r.getInt(partIdx), r.getInt(clusterIdx))
           val attrs = new Array[Any](rowIdx.length)
@@ -273,10 +276,12 @@ object BatchEngine {
             attrs(i) = if (r.isNullAt(rowIdx(i))) null else r.get(rowIdx(i))
             i += 1
           }
-          built.getOrElseUpdate(k, mutable.ArrayBuffer.empty[Entry]) +=
-            new Entry(r.getLong(idIdx), r.getSeq[Float](vecIdx).toArray, attrs)
+          built.getOrElseUpdate(k, mutable.ArrayBuffer.empty) +=
+            ((r.getLong(idIdx), r.getSeq[Float](vecIdx).toArray, attrs))
         }
-        val frozen = built.map { case (k, b) => k -> b.toArray }
+        val frozen = built.map { case (k, b) =>
+          k -> new Cell(Block(b.map(_._1).toArray, b.map(_._2).toArray, b.head._2.length), b.map(_._3).toArray)
+        }
         CellCache.put(cacheKey, frozen)
         frozen
       }
@@ -293,9 +298,9 @@ object BatchEngine {
       ok
     }
 
-    def evalFilter(preds: Array[(Pred, Int)], buf: Array[Entry]): Array[Boolean] = {
-      filterRows += buf.length
-      buf.map(e => matches(preds, e.attrs))
+    def evalFilter(preds: Array[(Pred, Int)], cell: Cell): Array[Boolean] = {
+      filterRows += cell.attrs.length
+      cell.attrs.map(matches(preds, _))
     }
 
     // Strategy B's full-dataset bitmap construction: every template's filter
@@ -303,84 +308,73 @@ object BatchEngine {
     val eagerMasks: Map[(Long, Int), Array[Boolean]] =
       if (!plan.eagerBitmap) Map.empty
       else (for {
-        (ck, buf) <- cells.iterator
+        (ck, cell) <- cells.iterator
         (tid, preds) <- compiled.iterator
-      } yield (ck, tid) -> evalFilter(preds, buf)).toMap
+      } yield (ck, tid) -> evalFilter(preds, cell)).toMap
 
-    val heaps = mutable.HashMap.empty[Int, TopK]
-    def heapOf(qi: Int): TopK = heaps.getOrElseUpdate(qi, new TopK(plan.heapK))
+    val heaps = new Array[TopK](plan.queryTids.length)
+    def heapOf(qi: Int): TopK = {
+      if (heaps(qi) == null) heaps(qi) = new TopK(plan.heapK)
+      heaps(qi)
+    }
     val scorer = new BatchScorer
+    var survivors = new Array[Int](0)
 
-    for ((ck, buf) <- cells; qidxs <- plan.probes.get(ck)) {
+    for ((ck, cell) <- cells; qidxs <- plan.probes.get(ck)) {
+      val block = cell.block
       val byTemplate = qidxs.groupBy(plan.queryTids(_))
       for ((tid, qs) <- byTemplate) {
-        tuplesScanned += buf.length.toLong * qs.length
+        tuplesScanned += block.n.toLong * qs.length
         val mask: Array[Boolean] =
           if (plan.postFilter) null
           else if (plan.eagerBitmap) eagerMasks((ck, tid))
-          else if (plan.attrBatching) evalFilter(compiled(tid), buf)
+          else if (plan.attrBatching) evalFilter(compiled(tid), cell)
           else {
             // No attribute batching: each query pays its own filter pass.
             var m: Array[Boolean] = null
-            qs.foreach(_ => m = evalFilter(compiled(tid), buf))
+            qs.foreach(_ => m = evalFilter(compiled(tid), cell))
             m
           }
-        if (plan.vectorBatching) {
-          // Algorithm 3: one shared posting-list pass builds the candidate
-          // set (posting list ∩ filter bitmap, §4.2 pushdown), then a single
-          // batched kernel scores the whole query group against it.
-          val candIdx = new mutable.ArrayBuilder.ofInt
+        // The candidates are the posting list ∩ filter bitmap (§4.2
+        // pushdown): the cell's block itself when every row passes, else
+        // the surviving rows gathered into a scratch block.
+        var count = 0
+        if (mask != null) {
+          if (survivors.length < block.n) survivors = new Array[Int](block.n)
           var i = 0
-          while (i < buf.length) { if (mask == null || mask(i)) candIdx += i; i += 1 }
-          val cand = candIdx.result()
-          if (cand.nonEmpty) {
-            distComps += cand.length.toLong * qs.length
-            val qvecs = qs.map(plan.queryVecs(_))
-            val candVecs = cand.map(buf(_).vec)
-            val flat = scorer.scores(qvecs, candVecs, plan.metric)
-            val n = cand.length
+          while (i < block.n) { if (mask(i)) { survivors(count) = i; count += 1 }; i += 1 }
+        }
+        val cand = if (mask == null || count == block.n) block else scorer.gather(block, survivors, count)
+        if (cand.n > 0) {
+          distComps += cand.n.toLong * qs.length
+          // Algorithm 3 scores the whole query group with one kernel call;
+          // the per-query baseline (Strategies B/C/D) calls it once per
+          // query, sharing no score pass across queries.
+          val batches = if (plan.vectorBatching) Iterator.single(qs) else qs.iterator.map(Array(_))
+          for (batch <- batches) {
+            val flat = scorer.scores(batch.map(plan.queryVecs(_)), cand, plan.metric)
             var a = 0
-            while (a < qs.length) {
-              val h = heapOf(qs(a)); val base = a * n
-              var b = 0
-              while (b < n) { h.push(flat(base + b), buf(cand(b)).id); b += 1 }
-              a += 1
-            }
+            while (a < batch.length) { scorer.push(heapOf(batch(a)), flat, a * cand.stride, cand); a += 1 }
           }
-        } else {
-          // Baseline index traversal (Strategies B/C/D): every query walks
-          // the posting list itself, testing the bitmap per entry — no
-          // sharing of scans or distance computations across queries.
-          var dist = 0L
-          var a = 0
-          while (a < qs.length) {
-            val h = heapOf(qs(a)); val qv = plan.queryVecs(qs(a))
-            var b = 0
-            while (b < buf.length) {
-              if (mask == null || mask(b)) {
-                val e = buf(b)
-                h.push(plan.metric.score(qv, e.vec), e.id)
-                dist += 1
-              }
-              b += 1
-            }
-            a += 1
-          }
-          distComps += dist
         }
       }
     }
 
-    // PostFilter tags each survivor with its template match for the driver;
-    // under pushdown every heap entry already passed the filter.
-    lazy val byId = mutable.LongMap.from(cells.valuesIterator.flatten.map(e => e.id -> e))
+    // Heaps go out unsorted: the driver merges them again. PostFilter tags
+    // each survivor with its template match for the driver; under pushdown
+    // every heap entry already passed the filter.
+    lazy val attrsById = {
+      val m = mutable.LongMap.empty[Array[Any]]
+      for (cell <- cells.valuesIterator; j <- 0 until cell.block.n) m(cell.block.ids(j)) = cell.attrs(j)
+      m
+    }
     val qis = new mutable.ArrayBuilder.ofInt
     val scores = new mutable.ArrayBuilder.ofFloat
     val ids = new mutable.ArrayBuilder.ofLong
     val matched = new mutable.ArrayBuilder.ofBoolean
-    for ((qi, h) <- heaps; (score, id) <- h.sorted) {
-      qis += qi; scores += score; ids += id
-      matched += !plan.postFilter || matches(compiled(plan.queryTids(qi)), byId(id).attrs)
+    for (qi <- heaps.indices if heaps(qi) != null; h = heaps(qi); i <- 0 until h.size) {
+      qis += qi; scores += h.scoreAt(i); ids += h.idAt(i)
+      matched += !plan.postFilter || matches(compiled(plan.queryTids(qi)), attrsById(h.idAt(i)))
     }
     TaskResult(qis.result(), scores.result(), ids.result(), matched.result(),
                tuplesScanned, distComps, filterRows)

@@ -2,7 +2,7 @@ package repro.core.engine
 
 import org.apache.spark.sql.DataFrame
 import repro.core.qdtree.{Pred, QDTree}
-import repro.core.vec.{Metric, VectorOps}
+import repro.core.vec.{Block, Metric, VectorOps}
 import repro.workload.Template
 
 /** How queries are routed to index partitions at query time. */
@@ -48,6 +48,16 @@ final class PartitionedIndex(val name: String,
   val indexId: String = java.util.UUID.randomUUID().toString
 
   val leafById: Map[Int, LeafMeta] = leaves.map(l => l.partId -> l).toMap
+
+  /** Each leaf's IVF centroids as a d-major block whose ids are the cells'
+    * probe keys, for ranking cells with the batch kernel; built once per
+    * index, not once per pass.
+    */
+  @transient private[engine] lazy val centroidBlocks: Map[Int, Block] = leaves.map { l =>
+    val keys = l.centroids.indices.map(c => BatchEngine.key(l.partId, c)).toArray
+    l.partId -> Block(keys, l.centroids, l.centroids.headOption.fold(0)(_.length))
+  }.toMap
+
   def numPartitions: Int = leaves.length
   def totalRows: Long = leaves.map(_.size).sum
 

@@ -29,8 +29,8 @@ object Metric {
   }
 }
 
-/** Low-level float vector kernels shared by k-means, IVF scans and the batch
-  * engine. All loops are allocation-free on the hot path.
+/** Scalar float vector kernels for k-means and IVF assignment. They define
+  * [[Metric.score]], which [[BatchScorer]] reproduces bit for bit.
   */
 object VectorOps {
 
@@ -48,12 +48,6 @@ object VectorOps {
     s
   }
 
-  /** BLAS used for the batched kernel (Spark's netlib: VectorBLAS when the
-    * jdk.incubator.vector module is on, Java11BLAS otherwise).
-    */
-  private[vec] lazy val blas: Option[dev.ludovic.netlib.blas.BLAS] =
-    try Some(dev.ludovic.netlib.blas.BLAS.getInstance) catch { case _: Throwable => None }
-
   /** Index of the nearest (lowest-score) centroid. */
   def nearest(q: Array[Float], centroids: Array[Array[Float]], metric: Metric): Int = {
     var best = 0; var bestS = Float.MaxValue; var i = 0
@@ -69,89 +63,6 @@ object VectorOps {
   def nearestN(q: Array[Float], centroids: Array[Array[Float]], n: Int, metric: Metric): Array[Int] = {
     val scored = centroids.indices.map(i => (metric.score(q, centroids(i)), i))
     scored.sortBy(t => (t._1, t._2)).take(math.min(n, centroids.length)).map(_._2).toArray
-  }
-}
-
-/** Reusable batched score kernel (the "single matrix multiplication" of
-  * Algorithm 3). One instance per executor task; scratch buffers grow on
-  * demand and are reused across (cell, query-group) evaluations, so the hot
-  * loop allocates nothing.
-  *
-  * `scores` returns a flat row-major m×n buffer, valid until the next call:
-  * `flat(i * n + j) = metric.score(queries(i), data(j))`. Computed as one
-  * SGEMM `G = Q·Xᵀ` (IP scores are `-G`; L2 expands `‖q‖² - 2q·x + ‖x‖²`
-  * with per-side norms), with a scalar fallback for tiny groups.
-  */
-final class BatchScorer {
-  private var qf: Array[Float] = new Array[Float](0)
-  private var xf: Array[Float] = new Array[Float](0)
-  private var c: Array[Float] = new Array[Float](0)
-  private var xn: Array[Float] = new Array[Float](0)
-
-  private def ensure(buf: Array[Float], size: Int): Array[Float] =
-    if (buf.length >= size) buf else new Array[Float](math.max(size, buf.length * 2))
-
-  def scores(queries: Array[Array[Float]], data: Array[Array[Float]], metric: Metric): Array[Float] = {
-    val m = queries.length; val n = data.length
-    if (m == 0 || n == 0) return Array.empty
-    val d = queries(0).length
-    c = ensure(c, m * n)
-
-    val gemm = VectorOps.blas.orNull
-    if (gemm != null && m.toLong * n * d >= 4096) {
-      qf = ensure(qf, m * d)
-      var i = 0
-      while (i < m) { System.arraycopy(queries(i), 0, qf, i * d, d); i += 1 }
-      xf = ensure(xf, n * d)
-      var j = 0
-      while (j < n) { System.arraycopy(data(j), 0, xf, j * d, d); j += 1 }
-      // Column-major view: C(n×m), C[j + i*n] = q_i·x_j.
-      gemm.sgemm("T", "N", n, m, d, 1.0f, xf, d, qf, d, 0.0f, c, n)
-      metric match {
-        case Metric.IP =>
-          var t = 0
-          val end = m * n
-          while (t < end) { c(t) = -c(t); t += 1 }
-        case Metric.L2 =>
-          xn = ensure(xn, n)
-          var jj = 0
-          while (jj < n) { xn(jj) = VectorOps.dot(data(jj), data(jj)); jj += 1 }
-          var ii = 0
-          while (ii < m) {
-            val q = queries(ii); val qn = VectorOps.dot(q, q)
-            val base = ii * n
-            var j2 = 0
-            while (j2 < n) { c(base + j2) = qn - 2f * c(base + j2) + xn(j2); j2 += 1 }
-            ii += 1
-          }
-      }
-      return c
-    }
-
-    // Scalar fallback: shared norms, per-pair dot products.
-    metric match {
-      case Metric.IP =>
-        var i = 0
-        while (i < m) {
-          val q = queries(i); val base = i * n
-          var j = 0
-          while (j < n) { c(base + j) = -VectorOps.dot(q, data(j)); j += 1 }
-          i += 1
-        }
-      case Metric.L2 =>
-        xn = ensure(xn, n)
-        var j = 0
-        while (j < n) { xn(j) = VectorOps.dot(data(j), data(j)); j += 1 }
-        var i = 0
-        while (i < m) {
-          val q = queries(i); val qn = VectorOps.dot(q, q)
-          val base = i * n
-          var jj = 0
-          while (jj < n) { c(base + jj) = qn - 2f * VectorOps.dot(q, data(jj)) + xn(jj); jj += 1 }
-          i += 1
-        }
-    }
-    c
   }
 }
 
@@ -207,6 +118,10 @@ final class TopK(val k: Int) extends Serializable {
     val ts = scores(i); scores(i) = scores(j); scores(j) = ts
     val ti = ids(i); ids(i) = ids(j); ids(j) = ti
   }
+
+  /** The `i`-th retained entry in heap order, for `i < size` (unsorted). */
+  def scoreAt(i: Int): Float = scores(i)
+  def idAt(i: Int): Long = ids(i)
 
   /** Results sorted best-first (ascending score, then id). */
   def sorted: Array[(Float, Long)] =

@@ -3,32 +3,44 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-import repro.core.vec.{BatchScorer, Metric}
+import repro.core.vec.{BatchScorer, Block, Metric, TopK}
 
-/** The reusable flat-buffer kernel must stay correct across calls of varying
-  * shapes — buffer reuse is where stale-data bugs live.
+/** The block kernel must reproduce `Metric.score` bit for bit on arbitrary
+  * floats, for every query-group remainder (4-query and 1-query code) and
+  * every row remainder (padding lanes), and stay correct across calls of
+  * varying shapes — buffer reuse is where stale-data bugs live.
   */
 class BatchScorerSpec extends AnyFunSuite {
 
-  private def grid(rnd: Random, d: Int): Array[Float] =
-    Array.fill(d)((rnd.nextInt(65) - 32) / 8.0f)
+  private val lanes = BatchScorer.Lanes
+  private val metrics = Seq[Metric](Metric.IP, Metric.L2)
+
+  /** Arbitrary floats: no grid, so any reassociation or fused multiply-add
+    * in the kernel changes the low bits of some score.
+    */
+  private def vec(rnd: Random, d: Int): Array[Float] = Array.fill(d)(rnd.nextFloat() * 4f - 2f)
+
+  private def block(rows: Array[Array[Float]], d: Int): Block =
+    Block(rows.indices.map(_.toLong).toArray, rows, d)
 
   private def check(scorer: BatchScorer, m: Int, n: Int, d: Int, metric: Metric, seed: Long): Unit = {
     val rnd = new Random(seed)
-    val q = Array.fill(m)(grid(rnd, d))
-    val x = Array.fill(n)(grid(rnd, d))
-    val flat = scorer.scores(q, x, metric)
+    val q = Array.fill(m)(vec(rnd, d))
+    val x = Array.fill(n)(vec(rnd, d))
+    val b = block(x, d)
+    val flat = scorer.scores(q, b, metric)
     for (i <- 0 until m; j <- 0 until n)
-      assert(flat(i * n + j) == metric.score(q(i), x(j)), s"($i,$j) m=$m n=$n d=$d ${metric.name}")
+      assert(flat(i * b.stride + j) == metric.score(q(i), x(j)), s"($i,$j) m=$m n=$n d=$d ${metric.name}")
   }
 
-  test("single call correctness (scalar path)") {
-    check(new BatchScorer, 3, 5, 4, Metric.L2, 1)
-  }
-
-  test("single call correctness (GEMM path)") {
-    check(new BatchScorer, 32, 64, 8, Metric.L2, 2)
-    check(new BatchScorer, 32, 64, 8, Metric.IP, 3)
+  test("every score equals Metric.score exactly over m x n x d shapes, both metrics") {
+    val s = new BatchScorer
+    var seed = 0L
+    for (m <- Seq(1, 3, 4, 5, 60); n <- Seq(1, lanes - 1, lanes, lanes + 1, 290).filter(_ > 0);
+         d <- Seq(1, 8, 32); metric <- metrics) {
+      seed += 1
+      check(s, m, n, d, metric, seed)
+    }
   }
 
   test("repeated calls with shrinking shapes never read stale buffer contents") {
@@ -47,12 +59,54 @@ class BatchScorerSpec extends AnyFunSuite {
 
   test("empty inputs return an empty buffer") {
     val s = new BatchScorer
-    assert(s.scores(Array.empty, Array(Array(1f)), Metric.L2).isEmpty)
-    assert(s.scores(Array(Array(1f)), Array.empty, Metric.L2).isEmpty)
+    assert(s.scores(Array.empty, block(Array(Array(1f)), 1), Metric.L2).isEmpty)
+    assert(s.scores(Array(Array(1f)), block(Array.empty, 1), Metric.L2).isEmpty)
   }
 
-  test("d=1 vectors work on both paths") {
-    check(new BatchScorer, 2, 2, 1, Metric.L2, 8)     // scalar
-    check(new BatchScorer, 80, 80, 1, Metric.IP, 9)   // 80*80*1 >= 4096 → GEMM
+  test("gathered rows score exactly like the same rows in place, d in {1, 8, 32}") {
+    val s = new BatchScorer
+    val rnd = new Random(11)
+    for (d <- Seq(32, 1, 8); n <- Seq(290, lanes + 1, 3); metric <- metrics) {
+      val x = Array.fill(n)(vec(rnd, d))
+      val q = Array.fill(5)(vec(rnd, d))
+      val rows = (0 until n).filter(_ => rnd.nextBoolean()).toArray
+      val g = s.gather(block(x, d), rows, rows.length)
+      assert(g.n == rows.length && g.ids.take(g.n).toSeq == rows.map(_.toLong).toSeq)
+      val flat = s.scores(q, g, metric)
+      for (i <- q.indices; c <- rows.indices)
+        assert(flat(i * g.stride + c) == metric.score(q(i), x(rows(c))), s"($i,$c) n=$n d=$d ${metric.name}")
+    }
   }
+
+  test("push skipping lane runs above a full heap's threshold keeps exactly what per-row pushes keep") {
+    val s = new BatchScorer
+    val rnd = new Random(12)
+    for (k <- Seq(1, 3, 10); n <- Seq(lanes - 1, 5 * lanes + 3)) {
+      // Few distinct scores, so ties on the threshold exercise the id order.
+      val x = Array.fill(n)(Array(rnd.nextInt(6).toFloat))
+      val b = Block(Array.fill(n)(rnd.nextLong(50)), x, 1)
+      val flat = s.scores(Array(Array(1f)), b, Metric.L2)
+      val viaPush = new TopK(k); val perRow = new TopK(k)
+      for (_ <- 0 until 3) {
+        s.push(viaPush, flat, 0, b)
+        for (j <- 0 until n) perRow.push(flat(j), b.ids(j))
+      }
+      assert(viaPush.sorted.toSeq == perRow.sorted.toSeq, s"k=$k n=$n")
+    }
+  }
+
+  test("without the vector module the kernel fails on first use, naming the JVM flag") {
+    val java = s"${System.getProperty("java.home")}/bin/java"
+    val p = new ProcessBuilder(java, "-cp", System.getProperty("java.class.path"),
+                               "repro.core.KernelWithoutVectorModule")
+      .redirectErrorStream(true).start()
+    val out = new String(p.getInputStream.readAllBytes())
+    assert(p.waitFor() != 0, out)
+    assert(out.contains("--add-modules=jdk.incubator.vector"), out)
+  }
+}
+
+/** Runs the kernel in a JVM started without `--add-modules=jdk.incubator.vector`. */
+object KernelWithoutVectorModule {
+  def main(args: Array[String]): Unit = { new BatchScorer; () }
 }

@@ -93,7 +93,17 @@ class EngineSpec extends SparkSpec {
     val on = BatchEngine.run(flat(this), workload, EngineOptions(defaultNprobe = 8, vectorBatching = true))
     val off = BatchEngine.run(flat(this), workload, EngineOptions(defaultNprobe = 8, vectorBatching = false))
     assert(on.results.keySet == off.results.keySet)
-    for ((qid, rs) <- on.results) assert(off.results(qid).map(_._1).sameElements(rs.map(_._1)))
+    for ((qid, rs) <- on.results) assert(off.results(qid).sameElements(rs), s"qid $qid: ids or scores differ")
+  }
+
+  test("every (query, id) an HQI pass returns carries exactly Metric.score of the fixture vectors") {
+    val vecs = db(this).select("id", "vec").collect().map(r => r.getLong(0) -> r.getSeq[Float](1).toArray).toMap
+    for (batching <- Seq(true, false)) {
+      val run = BatchEngine.run(hqi(this), workload, EngineOptions(defaultNprobe = 8, vectorBatching = batching))
+      assert(run.results.nonEmpty)
+      for (q <- workload.queries; (id, score) <- run.results.getOrElse(q.qid, Array.empty))
+        assert(score == Metric.IP.score(q.vec, vecs(id)), s"batching=$batching qid ${q.qid} id $id")
+    }
   }
 
   test("attribute batching on/off produce identical results but different filter work") {

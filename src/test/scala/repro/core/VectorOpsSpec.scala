@@ -3,20 +3,24 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-import repro.core.vec.{BatchScorer, Metric, TopK, VectorOps}
+import repro.core.vec.{BatchScorer, Block, Metric, TopK, VectorOps}
 
 class VectorOpsSpec extends AnyFunSuite {
 
   private def randGridVec(rnd: Random, d: Int): Array[Float] =
     Array.fill(d)((rnd.nextInt(65) - 32) / 8.0f) // multiples of 1/8: exact in float
 
-  // The batchScores cases exercise the batched kernel, BatchScorer.scores,
-  // whose flat m×n output holds score(q(i), d(j)) at i * n + j.
+  private def block(rows: Array[Array[Float]]): Block =
+    Block(rows.indices.map(_.toLong).toArray, rows, rows.headOption.fold(1)(_.length))
+
+  // The batchScores cases exercise the batch kernel, BatchScorer.scores,
+  // whose flat output holds score(q(i), d(j)) at i * stride + j.
   private def assertPairwise(q: Array[Array[Float]], d: Array[Array[Float]], m: Metric): Unit = {
-    val flat = new BatchScorer().scores(q, d, m)
+    val b = block(d)
+    val flat = new BatchScorer().scores(q, b, m)
     for (i <- q.indices; j <- d.indices)
-      assert(flat(i * d.length + j) == m.score(q(i), d(j)),
-             s"${m.name} mismatch at ($i,$j): ${flat(i * d.length + j)} vs ${m.score(q(i), d(j))}")
+      assert(flat(i * b.stride + j) == m.score(q(i), d(j)),
+             s"${m.name} mismatch at ($i,$j): ${flat(i * b.stride + j)} vs ${m.score(q(i), d(j))}")
   }
 
   test("l2Sq of identical vectors is zero") {
@@ -68,9 +72,7 @@ class VectorOpsSpec extends AnyFunSuite {
     }
   }
 
-  test("batchScores GEMM path (large groups) agrees with pairwise on grid data") {
-    // 32×40×8 > 4096 forces the SGEMM path; grid values keep every partial
-    // sum exactly representable so reassociation cannot change the result.
+  test("batchScores over several 4-query groups and lane runs agrees with pairwise on grid data") {
     val rnd = new Random(11)
     val q = Array.fill(32)(randGridVec(rnd, 8))
     val d = Array.fill(40)(randGridVec(rnd, 8))
@@ -78,11 +80,11 @@ class VectorOpsSpec extends AnyFunSuite {
   }
 
   test("batchScores with empty data returns empty rows") {
-    assert(new BatchScorer().scores(Array(Array(1f, 2f)), Array.empty, Metric.L2).isEmpty)
+    assert(new BatchScorer().scores(Array(Array(1f, 2f)), block(Array.empty), Metric.L2).isEmpty)
   }
 
   test("batchScores with no queries returns no rows") {
-    assert(new BatchScorer().scores(Array.empty, Array(Array(1f)), Metric.L2).isEmpty)
+    assert(new BatchScorer().scores(Array.empty, block(Array(Array(1f))), Metric.L2).isEmpty)
   }
 
   test("nearest returns the argmin centroid") {

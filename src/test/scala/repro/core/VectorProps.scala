@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 
-import repro.core.vec.{BatchScorer, Metric, TopK, VectorOps}
+import repro.core.vec.{BatchScorer, Block, Metric, TopK, VectorOps}
 
 /** ScalaCheck property suite for the vector kernels (runs under the
   * scalacheck sbt framework alongside the ScalaTest suites).
@@ -25,13 +25,14 @@ object VectorProps extends Properties("vec") {
     VectorOps.dot(a2, b) == 2f * VectorOps.dot(a, b)
   }
 
-  // batchScores is the batched kernel, BatchScorer.scores (flat m×n output).
+  // batchScores is the batch kernel, BatchScorer.scores over a d-major block.
   property("batchScores matches pairwise for both metrics") =
     Prop.forAll(Gen.listOfN(3, vec(5)), Gen.listOfN(5, vec(5)),
                 Gen.oneOf(Metric.L2: Metric, Metric.IP: Metric)) { (qs, ds, m) =>
       val q = qs.toArray; val d = ds.toArray
-      val flat = new BatchScorer().scores(q, d, m)
-      q.indices.forall(i => d.indices.forall(j => flat(i * d.length + j) == m.score(q(i), d(j))))
+      val b = Block(d.indices.map(_.toLong).toArray, d, 5)
+      val flat = new BatchScorer().scores(q, b, m)
+      q.indices.forall(i => d.indices.forall(j => flat(i * b.stride + j) == m.score(q(i), d(j))))
     }
 
   property("TopK == sort-take") =
