@@ -43,6 +43,24 @@ class BatchScorerSpec extends AnyFunSuite {
     }
   }
 
+  // The two "paths" below are the kernel's 1-query remainder loop (m < 4) and
+  // its 4-query groups (m a multiple of 4); their shapes are the ones the
+  // earlier scalar and SGEMM paths were checked on.
+  test("single call correctness (scalar path)") {
+    check(new BatchScorer, 3, 5, 4, Metric.L2, 1)
+    check(new BatchScorer, 3, 5, 4, Metric.IP, 1)
+  }
+
+  test("single call correctness (GEMM path)") {
+    check(new BatchScorer, 32, 64, 8, Metric.L2, 2)
+    check(new BatchScorer, 32, 64, 8, Metric.IP, 3)
+  }
+
+  test("d=1 vectors work on both paths") {
+    check(new BatchScorer, 2, 2, 1, Metric.L2, 8)     // 1-query loop
+    check(new BatchScorer, 80, 80, 1, Metric.IP, 9)   // 4-query groups
+  }
+
   test("repeated calls with shrinking shapes never read stale buffer contents") {
     val s = new BatchScorer
     check(s, 40, 50, 8, Metric.L2, 4)   // big first — grows buffers

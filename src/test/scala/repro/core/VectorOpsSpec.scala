@@ -72,7 +72,9 @@ class VectorOpsSpec extends AnyFunSuite {
     }
   }
 
-  test("batchScores over several 4-query groups and lane runs agrees with pairwise on grid data") {
+  // Named after the earlier SGEMM path; 32 queries x 40 rows now cover several
+  // 4-query groups and several lane runs of the block kernel.
+  test("batchScores GEMM path (large groups) agrees with pairwise on grid data") {
     val rnd = new Random(11)
     val q = Array.fill(32)(randGridVec(rnd, 8))
     val d = Array.fill(40)(randGridVec(rnd, 8))
