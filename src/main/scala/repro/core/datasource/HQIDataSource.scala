@@ -1,6 +1,6 @@
 package repro.core.datasource
 
-import java.io.{BufferedInputStream, DataInputStream, EOFException, FileInputStream}
+import java.io.{BufferedInputStream, DataInputStream, EOFException, FileInputStream, IOException}
 import java.util
 
 import org.apache.spark.sql.catalyst.InternalRow
@@ -189,7 +189,8 @@ private[datasource] class HQIPartitionReader(part: HQIInputPartition,
       readCount += 1
       true
     } catch {
-      case _: EOFException => false
+      case e: EOFException =>
+        throw new IOException(s"${part.file} is truncated: read $readCount of $total rows", e)
     }
   }
 

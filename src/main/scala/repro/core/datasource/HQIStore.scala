@@ -5,8 +5,8 @@ import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.Row
 
-import repro.core.engine.{IndexBuilder, PartitionedIndex}
-import repro.core.qdtree.Pred
+import repro.core.engine.{IndexBuilder, PartitionedIndex, Routing}
+import repro.core.qdtree.{Pred, QDTree}
 
 /** On-disk layout of a persisted HQI index (read back by [[HQIDataSource]]):
   *
@@ -71,6 +71,10 @@ object HQIStore {
     }
     val attrIdx = index.attrCols.map(schema.fieldIndex)
 
+    val tree: Option[QDTree] = index.routing match {
+      case Routing.ByQDTree(t, _) => Some(t)
+      case _                      => None
+    }
     val rows = index.data.collect()
     val byPart = rows.groupBy(_.getInt(partIdx))
     val dim = rows.headOption.map(_.getSeq[Float](vecIdx).size).getOrElse(0)
@@ -98,11 +102,11 @@ object HQIStore {
           }
         }
       } finally out.close()
-      val semantic = index.qdtree.map(t => t.leaves(lm.partId).semantic.toArray)
+      val semantic = tree.map(_.leaves(lm.partId).semantic.toArray)
       LeafEntry(lm.partId, partRows.length.toLong, fileName, semantic)
     }
 
-    val preds: Array[Pred] = index.qdtree.map(_.preds).getOrElse(Array.empty)
+    val preds: Array[Pred] = tree.fold(Array.empty[Pred])(_.preds)
     writeMeta(path, HQIStoreMeta(dim, index.metric.name, attrs, preds, leafEntries.toSeq))
   }
 }

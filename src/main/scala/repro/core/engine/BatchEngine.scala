@@ -42,6 +42,11 @@ final case class EngineOptions(k: Int = 10,
                                postFilterExpansion: Int = 4,
                                eagerBitmap: Boolean = false,
                                exhaustive: Boolean = false) {
+  require(k >= 1, s"k must be at least 1, got $k")
+  require(defaultNprobe >= 1, s"defaultNprobe must be at least 1, got $defaultNprobe")
+  require(nprobe.values.forall(_ >= 1), s"every nprobe must be at least 1, got $nprobe")
+  require(postFilterExpansion >= 1, s"postFilterExpansion must be at least 1, got $postFilterExpansion")
+
   def heapK: Int = if (postFilter) k * postFilterExpansion else k
 }
 
@@ -106,7 +111,7 @@ object BatchEngine {
     val probes = mutable.HashMap.empty[Long, mutable.ArrayBuilder.ofInt]
     // Routing is per-template unless centroid routing (m > 0) is active.
     val perQueryRouting = index.routing match {
-      case Routing.ByQDTree(m) if m > 0 => true
+      case Routing.ByQDTree(_, Some(_)) => true
       case _                            => false
     }
     val routeCache = mutable.HashMap.empty[Int, Seq[Int]]

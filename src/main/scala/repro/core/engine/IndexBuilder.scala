@@ -1,8 +1,10 @@
 package repro.core.engine
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.roaringbitmap.RoaringBitmap
+
+import scala.collection.mutable
 
 import repro.core.ivf.IVF
 import repro.core.qdtree.{Pred, QDTree, RoutedQuery}
@@ -25,11 +27,13 @@ final case class HQIOptions(minSize: Int = 1024,
 
 /** Builders producing [[PartitionedIndex]] layouts for each strategy.
   *
-  * The driver trains k-means/qd-tree structures over a collected copy of
-  * `(id, vec)` (bounded at reproduction scale); predicate support bitmaps are
-  * evaluated by Catalyst in one distributed pass; the final `__part` /
-  * `__cluster` layout columns are attached distributed via broadcast maps and
-  * the DataFrame is repartitioned by them — the index layout *is* the
+  * Every layout is "partition the tuples, then one IVF with √|Pᵢ| cells per
+  * partition" (§4.1.3, §2.2); the builders differ only in which partition
+  * each tuple goes to. The driver trains k-means/qd-tree structures over a
+  * collected copy of `(id, vec)` (bounded at reproduction scale); predicate
+  * support bitmaps are evaluated by Catalyst in one distributed pass; the
+  * final `__part` / `__cluster` layout columns are attached by an id lookup
+  * and the DataFrame is repartitioned by them — the index layout *is* the
   * DataFrame partition layout.
   */
 object IndexBuilder {
@@ -40,30 +44,58 @@ object IndexBuilder {
 
   private def now(): Long = System.currentTimeMillis()
 
-  private def collectVectors(db: DataFrame): (Array[Long], Array[Array[Float]]) = {
-    val rows = db.select("id", "vec").orderBy("id").collect()
+  /** Every row's id, vector and `part` value in id order; tuple `i` of a
+    * build is the row with id `ids(i)`.
+    */
+  private def collectVectors(db: DataFrame, part: Column = lit(0))
+      : (Array[Long], Array[Array[Float]], Array[Int]) = {
+    val rows = db.select(col("id"), col("vec"), part).orderBy("id").collect()
     val ids = new Array[Long](rows.length)
     val vecs = new Array[Array[Float]](rows.length)
+    val parts = new Array[Int](rows.length)
     var i = 0
     while (i < rows.length) {
       ids(i) = rows(i).getLong(0)
       vecs(i) = rows(i).getSeq[Float](1).toArray
+      parts(i) = rows(i).getInt(2)
       i += 1
     }
-    (ids, vecs)
+    (ids, vecs, parts)
   }
 
-  private def layout(db: DataFrame, idToPart: Long => Int, idToCluster: Long => Int): DataFrame = {
-    val spark = db.sparkSession
-    val partUdf = udf(idToPart)
-    val clusterUdf = udf(idToCluster)
-    val p = spark.sparkContext.defaultParallelism
-    db.withColumn(PartCol, partUdf(col("id")))
-      .withColumn(ClusterCol, clusterUdf(col("id")))
-      .repartition(p, col(PartCol), col(ClusterCol))
+  /** The build step every layout shares. Partition `p` (tuples with
+    * `partOf(i) == p`, in id order) gets √|P| IVF cells trained with seed
+    * `seed + p`, or one zero centroid when it is empty; every tuple is
+    * assigned its nearest cell, and the data is laid out and cached by
+    * `(__part, __cluster)`.
+    */
+  private def build(name: String, db: DataFrame, attrCols: Seq[String], metric: Metric,
+                    routing: Routing, ids: Array[Long], vecs: Array[Array[Float]],
+                    partOf: Array[Int], numParts: Int, seed: Long, t0: Long): PartitionedIndex = {
+    val members = Array.fill(numParts)(new mutable.ArrayBuilder.ofInt)
+    for (i <- ids.indices) members(partOf(i)) += i
+    val dim = vecs.headOption.fold(1)(_.length)
+    val clusterOf = new Array[Int](ids.length)
+    val leaves = Array.tabulate(numParts) { p =>
+      val idxs = members(p).result()
+      val cents = if (idxs.isEmpty) Array(new Array[Float](dim)) else IVF.train(idxs.map(vecs), seed + p)
+      idxs.foreach(i => clusterOf(i) = IVF.assign(vecs(i), cents))
+      LeafMeta(p, idxs.length.toLong, cents)
+    }
+    // `ids` is sorted, so one binary search finds a row's tuple index.
+    val place = udf { (id: Long) =>
+      val i = java.util.Arrays.binarySearch(ids, id)
+      (partOf(i), clusterOf(i))
+    }
+    val data = db.withColumn("__place", place(col("id")))
+      .withColumn(PartCol, col("__place._1"))
+      .withColumn(ClusterCol, col("__place._2"))
+      .drop("__place")
+      .repartition(db.sparkSession.sparkContext.defaultParallelism, col(PartCol), col(ClusterCol))
+      .cache()
+    data.count()
+    new PartitionedIndex(name, data, attrCols, metric, leaves, routing, now() - t0)
   }
-
-  private def materialize(df: DataFrame): DataFrame = { val c = df.cache(); c.count(); c }
 
   /** Strategy B/D layout: one logical partition, a single IVF with √n cells
     * trained over the full dataset (this is what makes single-index training
@@ -72,61 +104,27 @@ object IndexBuilder {
   def buildFlat(db: DataFrame, attrCols: Seq[String], metric: Metric,
                 name: String = "PreFilter", seed: Long = 7): PartitionedIndex = {
     val t0 = now()
-    val (ids, vecs) = collectVectors(db)
-    val centroids = IVF.train(vecs, seed, cellsOverride = Some(KMeans.sqrtCells(vecs.length.toLong)))
-    val cluster = new Array[Int](ids.length)
-    var i = 0
-    while (i < ids.length) { cluster(i) = IVF.assign(vecs(i), centroids); i += 1 }
-    val clusterOf = ids.zip(cluster).toMap
-    val data = materialize(layout(db, _ => 0, clusterOf))
-    new PartitionedIndex(name, data, attrCols, metric,
-      Array(LeafMeta(0, ids.length.toLong, centroids)),
-      Routing.All, None, None, now() - t0)
+    val (ids, vecs, parts) = collectVectors(db)
+    build(name, db, attrCols, metric, Routing.All, ids, vecs, parts, 1, seed, t0)
   }
 
   /** Strategy C layout: equi-depth range partitions on `rangeAttr`, one IVF
-    * (√|Pᵢ| cells) per partition.
+    * (√|Pᵢ| cells) per partition. Rows with no value go to the first bucket.
     */
   def buildRange(db: DataFrame, attrCols: Seq[String], metric: Metric,
                  rangeAttr: String, numParts: Int, seed: Long = 7): PartitionedIndex = {
     val t0 = now()
     val probs = (1 until numParts).map(_.toDouble / numParts).toArray
     val cuts = db.stat.approxQuantile(rangeAttr, probs, 0.001)
-    val bounds = (Double.NegativeInfinity +: cuts.toSeq) :+ Double.PositiveInfinity
-    def bucket(v: Double): Int = {
+    val edges = (Double.NegativeInfinity +: cuts.toIndexedSeq) :+ Double.PositiveInfinity
+    val bucket = udf { (v: Double) =>
       var b = 0
       while (b < numParts - 1 && v >= cuts(b)) b += 1
       b
     }
-
-    val rows = db.select("id", "vec", rangeAttr).orderBy("id").collect()
-    val ids = new Array[Long](rows.length)
-    val vecs = new Array[Array[Float]](rows.length)
-    val part = new Array[Int](rows.length)
-    var i = 0
-    while (i < rows.length) {
-      ids(i) = rows(i).getLong(0)
-      vecs(i) = rows(i).getSeq[Float](1).toArray
-      part(i) = if (rows(i).isNullAt(2)) 0 else bucket(rows(i).getDouble(2))
-      i += 1
-    }
-    val byPart = ids.indices.groupBy(part)
-    val leafMetas = new Array[LeafMeta](numParts)
-    val cluster = new Array[Int](ids.length)
-    for (p <- 0 until numParts) {
-      val idxs = byPart.getOrElse(p, Seq.empty)
-      val pv = idxs.map(vecs).toArray
-      val cents =
-        if (pv.isEmpty) Array(Array.fill(vecs.headOption.map(_.length).getOrElse(1))(0f))
-        else IVF.train(pv, seed + p)
-      idxs.foreach(j => cluster(j) = IVF.assign(vecs(j), cents))
-      leafMetas(p) = LeafMeta(p, idxs.size.toLong, cents, Some((bounds(p), bounds(p + 1))))
-    }
-    val partOf = ids.zip(part).toMap
-    val clusterOf = ids.zip(cluster).toMap
-    val data = materialize(layout(db, partOf, clusterOf))
-    new PartitionedIndex("Range", data, attrCols, metric, leafMetas,
-      Routing.ByRange(rangeAttr), None, None, now() - t0)
+    val (ids, vecs, parts) = collectVectors(db, coalesce(bucket(col(rangeAttr)), lit(0)))
+    build("Range", db, attrCols, metric, Routing.ByRange(rangeAttr, edges.zip(edges.tail)),
+          ids, vecs, parts, numParts, seed, t0)
   }
 
   /** HQI (§4): balanced qd-tree over the historical workload's predicates
@@ -140,28 +138,23 @@ object IndexBuilder {
       return buildFlat(db, attrCols, metric, name = "HQI", seed = opts.kmeansSeed)
 
     val t0 = now()
-    val (ids, vecs) = collectVectors(db)
+    val (ids, vecs, _) = collectVectors(db)
     val n = ids.length
 
     // §4.1.1: global centroid attribute t.c (only when centroid routing is on).
     val globalCentroids: Option[Array[Array[Float]]] =
       if (opts.m > 0) Some(KMeans.train(vecs, opts.numGlobalCentroids, IVF.AssignMetric, seed = opts.kmeansSeed))
       else None
-    val tupleCentroid: Array[Int] = globalCentroids match {
-      case Some(c) => vecs.map(v => IVF.assign(v, c))
-      case None    => Array.empty
-    }
+    val tupleCentroid: Array[Int] = globalCentroids.fold(Array.empty[Int])(c => vecs.map(IVF.assign(_, c)))
 
     // Extract cut predicates from the workload (dedup by display form).
     val attrPreds: Array[Pred] = {
-      val seen = scala.collection.mutable.LinkedHashMap.empty[String, Pred]
+      val seen = mutable.LinkedHashMap.empty[String, Pred]
       for (t <- history.templates; p <- t.preds) seen.getOrElseUpdate(p.describe, p)
       seen.values.toArray
     }
-    val centroidPreds: Array[Pred] = globalCentroids match {
-      case Some(c) => c.indices.map(i => Pred.CentroidEq(i): Pred).toArray
-      case None    => Array.empty
-    }
+    val centroidPreds: Array[Pred] =
+      globalCentroids.fold(Array.empty[Pred])(c => Array.tabulate(c.length)(Pred.CentroidEq(_)))
     val preds: Array[Pred] = attrPreds ++ centroidPreds
 
     // One Catalyst pass evaluates every attribute predicate over V.
@@ -192,44 +185,28 @@ object IndexBuilder {
     val shapes: Seq[RoutedQuery] = {
       val templatePreds: Map[Int, Seq[Seq[Int]]] =
         history.templates.map(t => t.id -> t.preds.map(p => Seq(predIdx(p.describe)))).toMap
-      if (opts.m <= 0) {
-        history.queries.groupBy(_.templateId).map { case (tid, qs) =>
-          RoutedQuery(templatePreds(tid), qs.size.toLong)
-        }.toSeq
-      } else {
-        val gc = globalCentroids.get
-        history.queries
-          .map { q =>
-            val qc = VectorOps.nearestN(q.vec, gc, opts.m, IVF.AssignMetric).toSeq.sorted
-            (q.templateId, qc)
-          }
-          .groupBy(identity)
-          .map { case ((tid, qc), qs) =>
-            val centroidClause = qc.map(c => predIdx(Pred.CentroidEq(c).describe))
-            RoutedQuery(templatePreds(tid) :+ centroidClause, qs.size.toLong)
+      globalCentroids match {
+        case None =>
+          history.queries.groupBy(_.templateId).map { case (tid, qs) =>
+            RoutedQuery(templatePreds(tid), qs.size.toLong)
           }.toSeq
+        case Some(gc) =>
+          history.queries
+            .map { q =>
+              val qc = VectorOps.nearestN(q.vec, gc, opts.m, IVF.AssignMetric).toSeq.sorted
+              (q.templateId, qc)
+            }
+            .groupBy(identity)
+            .map { case ((tid, qc), qs) =>
+              val centroidClause = qc.map(c => predIdx(Pred.CentroidEq(c).describe))
+              RoutedQuery(templatePreds(tid) :+ centroidClause, qs.size.toLong)
+            }.toSeq
       }
     }
 
     val tree = QDTree.build(n, preds, support, shapes, opts.minSize)
-
-    // One IVF per leaf (√|leaf| cells).
-    val byLeaf: Map[Int, Seq[Int]] = (0 until n).groupBy(tree.leafOfTuple)
-    val cluster = new Array[Int](n)
-    val leafMetas = tree.leaves.map { leaf =>
-      val idxs = byLeaf.getOrElse(leaf.leafId, Seq.empty)
-      val lv = idxs.map(vecs).toArray
-      val cents =
-        if (lv.isEmpty) Array(Array.fill(vecs.headOption.map(_.length).getOrElse(1))(0f))
-        else IVF.train(lv, opts.kmeansSeed + leaf.leafId)
-      idxs.foreach(j => cluster(j) = IVF.assign(vecs(j), cents))
-      LeafMeta(leaf.leafId, idxs.size.toLong, cents)
-    }
-
-    val partOf = ids.indices.map(i => ids(i) -> tree.leafOfTuple(i)).toMap
-    val clusterOf = ids.indices.map(i => ids(i) -> cluster(i)).toMap
-    val data = materialize(layout(db, partOf, clusterOf))
-    new PartitionedIndex("HQI", data, attrCols, metric, leafMetas,
-      Routing.ByQDTree(opts.m), Some(tree), globalCentroids, now() - t0)
+    val centroidRouting = globalCentroids.map(Routing.CentroidRouting(opts.m, _))
+    build("HQI", db, attrCols, metric, Routing.ByQDTree(tree, centroidRouting),
+          ids, vecs, tree.leafOfTuple, tree.numLeaves, opts.kmeansSeed, t0)
   }
 }

@@ -1,33 +1,36 @@
 package repro.core.engine
 
 import org.apache.spark.sql.DataFrame
+import repro.core.ivf.IVF
 import repro.core.qdtree.{Pred, QDTree}
 import repro.core.vec.{Block, Metric, VectorOps}
 import repro.workload.Template
 
-/** How queries are routed to index partitions at query time. */
+/** How queries are routed to index partitions at query time. Each layout's
+  * routing carries the data it routes by.
+  */
 sealed trait Routing extends Serializable
 object Routing {
   /** Every query visits every partition (PreFilter / PostFilter / flat). */
   case object All extends Routing
-  /** Semantic-description routing over the qd-tree; `m` is the number of
-    * nearest global centroids folded into each query's constraint (§4.1.1;
-    * m = 0 disables centroid routing — the paper's best configuration).
+  /** Semantic-description routing over the qd-tree's leaves (§4.1.3). */
+  final case class ByQDTree(tree: QDTree, centroids: Option[CentroidRouting] = None) extends Routing
+  /** The §4.1.1 centroid constraint: each query is routed with its `m`
+    * nearest `global` centroids, so routing is per query, not per template.
     */
-  final case class ByQDTree(m: Int) extends Routing
-  /** Range-partitioned on one numeric attribute (Strategy C). */
-  final case class ByRange(attr: String) extends Routing
+  final case class CentroidRouting(m: Int, global: Array[Array[Float]])
+  /** Range-partitioned on one numeric attribute (Strategy C); partition `i`
+    * covers `[bounds(i)._1, bounds(i)._2)`.
+    */
+  final case class ByRange(attr: String, bounds: IndexedSeq[(Double, Double)]) extends Routing
 }
 
 /** Driver-side metadata for one physical partition (`__part` value).
   *
   * @param centroids IVF cell centroids; `__cluster` on the data is the index
   *                  of the nearest centroid here
-  * @param range     [lo, hi) covered on the range attribute, for Strategy C
   */
-final case class LeafMeta(partId: Int, size: Long,
-                          centroids: Array[Array[Float]],
-                          range: Option[(Double, Double)] = None)
+final case class LeafMeta(partId: Int, size: Long, centroids: Array[Array[Float]])
 
 /** A built, partitioned vector index: the physical layout lives in `data`
   * (columns `id, vec, <attrs…>, __part, __cluster`, repartitioned and cached
@@ -40,8 +43,6 @@ final class PartitionedIndex(val name: String,
                              val metric: Metric,
                              val leaves: Array[LeafMeta],
                              val routing: Routing,
-                             val qdtree: Option[QDTree],
-                             val globalCentroids: Option[Array[Array[Float]]],
                              val buildMillis: Long) extends Serializable {
 
   /** Stable identity for executor-side posting-list caching. */
@@ -64,16 +65,16 @@ final class PartitionedIndex(val name: String,
   /** Partitions a query with this template and vector must visit. */
   def route(template: Template, qvec: Array[Float]): Seq[Int] = routing match {
     case Routing.All => leaves.map(_.partId).toSeq
-    case Routing.ByQDTree(m) =>
-      val qc =
-        if (m <= 0) Nil
-        else globalCentroids.map(c => VectorOps.nearestN(qvec, c, m, repro.core.ivf.IVF.AssignMetric).toSeq).getOrElse(Nil)
-      qdtree.map(_.routePreds(template.preds, qc)).getOrElse(leaves.map(_.partId).toSeq)
-    case Routing.ByRange(attr) =>
-      val parts = leaves.filter { l =>
-        l.range.forall { case (lo, hi) => rangeMayMatch(template, attr, lo, hi) }
+    case Routing.ByQDTree(tree, centroids) =>
+      val qc = centroids.fold(Seq.empty[Int]) { c =>
+        VectorOps.nearestN(qvec, c.global, c.m, IVF.AssignMetric).toSeq
       }
-      parts.map(_.partId).toSeq
+      tree.routePreds(template.preds, qc)
+    case Routing.ByRange(attr, bounds) =>
+      leaves.map(_.partId).toSeq.filter { p =>
+        val (lo, hi) = bounds(p)
+        rangeMayMatch(template, attr, lo, hi)
+      }
   }
 
   /** Can a [lo, hi) bucket contain tuples satisfying the template's

@@ -1,5 +1,7 @@
 package repro.core.engine
 
+import scala.collection.mutable
+
 import repro.workload.Workload
 
 /** Per-template parameter tuning (§6.1: "nprobe … is tuned for each query
@@ -30,25 +32,9 @@ object Tuning {
                  target: Double = 0.8, k: Int = 10,
                  grid: Seq[Int] = DefaultGrid,
                  base: EngineOptions = EngineOptions()): TuneResult = {
-    val assigned = scala.collection.mutable.HashMap.empty[Int, Int]
-    val achieved = scala.collection.mutable.HashMap.empty[Int, Double]
-    var remaining: Set[Int] = sample.templates.map(_.id).toSet
-
-    for (np <- grid if remaining.nonEmpty) {
-      val sub = sample.restrictedTo(remaining)
-      val run = BatchEngine.run(index, sub,
-        base.copy(k = k, nprobe = remaining.map(_ -> np).toMap, defaultNprobe = np))
-      val rec = Recall.perTemplate(run.results, truth.filter(t => sub.queries.exists(_.qid == t._1)), sub, k)
-      for ((tid, r) <- rec) {
-        achieved(tid) = r
-        if (r >= target - 1e-9 && remaining.contains(tid)) {
-          assigned(tid) = np
-          remaining -= tid
-        }
-      }
-    }
-    remaining.foreach(tid => assigned(tid) = grid.last)
-    TuneResult(assigned.toMap, base.postFilterExpansion, achieved.toMap)
+    val (assigned, achieved) =
+      escalate(index, sample, truth, target, k, grid.map(np => (np, base.postFilterExpansion)), base)
+    TuneResult(assigned.map { case (tid, (np, _)) => tid -> np }, base.postFilterExpansion, achieved)
   }
 
   /** Tune PostFilter: nprobe and candidate expansion escalate together,
@@ -61,28 +47,42 @@ object Tuning {
                      steps: Seq[(Int, Int)] = Seq((2, 2), (4, 4), (8, 8), (16, 16),
                                                   (32, 32), (64, 64), (128, 64), (256, 64)))
       : TuneResult = {
-    val assignedNp = scala.collection.mutable.HashMap.empty[Int, Int]
-    val assignedExp = scala.collection.mutable.HashMap.empty[Int, Int]
-    val achieved = scala.collection.mutable.HashMap.empty[Int, Double]
+    val (assigned, achieved) =
+      escalate(index, sample, truth, target, k, steps, EngineOptions(postFilter = true))
+    // A single expansion applies engine-wide; take the max any template needs.
+    val exp = if (assigned.isEmpty) steps.last._2 else assigned.values.map(_._2).max
+    TuneResult(assigned.map { case (tid, (np, _)) => tid -> np }, exp, achieved)
+  }
+
+  /** Run the sample at each (nprobe, expansion) step in turn, for the
+    * templates still below target, and fix each template at the first step
+    * that reaches it; templates that never do get the last step. Returns
+    * each template's step and its latest achieved recall.
+    */
+  private def escalate(index: PartitionedIndex, sample: Workload,
+                       truth: Map[Long, Array[(Long, Float)]],
+                       target: Double, k: Int, steps: Seq[(Int, Int)],
+                       base: EngineOptions): (Map[Int, (Int, Int)], Map[Int, Double]) = {
+    val assigned = mutable.HashMap.empty[Int, (Int, Int)]
+    val achieved = mutable.HashMap.empty[Int, Double]
     var remaining: Set[Int] = sample.templates.map(_.id).toSet
 
     for ((np, exp) <- steps if remaining.nonEmpty) {
       val sub = sample.restrictedTo(remaining)
       val run = BatchEngine.run(index, sub,
-        EngineOptions(k = k, nprobe = remaining.map(_ -> np).toMap, defaultNprobe = np,
-                      postFilter = true, postFilterExpansion = exp))
-      val rec = Recall.perTemplate(run.results, truth.filter(t => sub.queries.exists(_.qid == t._1)), sub, k)
+        base.copy(k = k, nprobe = remaining.map(_ -> np).toMap, defaultNprobe = np,
+                  postFilterExpansion = exp))
+      val qids = sub.queries.map(_.qid).toSet
+      val rec = Recall.perTemplate(run.results, truth.filter(t => qids(t._1)), sub, k)
       for ((tid, r) <- rec) {
         achieved(tid) = r
         if (r >= target - 1e-9 && remaining.contains(tid)) {
-          assignedNp(tid) = np; assignedExp(tid) = exp
+          assigned(tid) = (np, exp)
           remaining -= tid
         }
       }
     }
-    remaining.foreach { tid => assignedNp(tid) = steps.last._1; assignedExp(tid) = steps.last._2 }
-    // A single expansion applies engine-wide; take the max any template needs.
-    val exp = if (assignedExp.isEmpty) steps.last._2 else assignedExp.values.max
-    TuneResult(assignedNp.toMap, exp, achieved.toMap)
+    remaining.foreach(tid => assigned(tid) = steps.last)
+    (assigned.toMap, achieved.toMap)
   }
 }

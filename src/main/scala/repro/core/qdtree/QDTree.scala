@@ -48,7 +48,7 @@ final class QDTree(val preds: Array[Pred],
     * only to predicates unknown to the tree are conservatively satisfiable.
     */
   def route(query: RoutedQuery): Seq[Int] =
-    leaves.iterator.filter(l => satisfiable(l.semantic, query.clauses)).map(_.leafId).toSeq
+    leaves.iterator.filter(l => QDTree.satisfiable(l.semantic, query.clauses)).map(_.leafId).toSeq
 
   /** Route a conjunction of raw predicates (unseen predicates are ignored,
     * i.e. treated as satisfiable everywhere — the safe direction).
@@ -65,17 +65,20 @@ final class QDTree(val preds: Array[Pred],
     route(RoutedQuery(attrClauses ++ centroidClause, 1L))
   }
 
-  private def satisfiable(sem: BitSet, clauses: Seq[Seq[Int]]): Boolean =
-    clauses.forall(cl => cl.isEmpty || cl.exists(sem.contains))
-
   /** Eq. (1): total tuples accessed to evaluate the workload on this layout. */
   def cost(workload: Seq[RoutedQuery]): Long =
     workload.iterator.map { q =>
-      leaves.iterator.filter(l => satisfiable(l.semantic, q.clauses)).map(_.size * q.weight).sum
+      leaves.iterator.filter(l => QDTree.satisfiable(l.semantic, q.clauses)).map(_.size * q.weight).sum
     }.sum
 }
 
 object QDTree {
+
+  /** Can a partition with semantic description `sem` hold a tuple meeting
+    * every clause? An empty clause constrains nothing.
+    */
+  private def satisfiable(sem: BitSet, clauses: Seq[Seq[Int]]): Boolean =
+    clauses.forall(cl => cl.isEmpty || cl.exists(sem.contains))
 
   /** Build a balanced qd-tree.
     *
@@ -105,9 +108,6 @@ object QDTree {
     def semanticOf(p: RoaringBitmap): BitSet =
       BitSet.fromSpecific(support.indices.filter(i => RoaringBitmap.intersects(support(i), p)))
 
-    def routedTo(q: RoutedQuery, sem: BitSet): Boolean =
-      q.clauses.forall(cl => cl.isEmpty || cl.exists(sem.contains))
-
     /** Weighted number of child partitions accessed after splitting P into
       * (left, right) — Algorithm 2's cost, i.e. queries routed to both sides
       * count twice.
@@ -116,8 +116,8 @@ object QDTree {
       val semL = semanticOf(left); val semR = semanticOf(right)
       queries.iterator.map { q =>
         var c = 0L
-        if (routedTo(q, semL)) c += q.weight
-        if (routedTo(q, semR)) c += q.weight
+        if (satisfiable(semL, q.clauses)) c += q.weight
+        if (satisfiable(semR, q.clauses)) c += q.weight
         c
       }.sum
     }
@@ -171,8 +171,8 @@ object QDTree {
 
       val right = RoaringBitmap.andNot(p, left)
       val semL = semanticOf(left); val semR = semanticOf(right)
-      val qL = queries.filter(routedTo(_, semL))
-      val qR = queries.filter(routedTo(_, semR))
+      val qL = queries.filter(q => satisfiable(semL, q.clauses))
+      val qR = queries.filter(q => satisfiable(semR, q.clauses))
       construct(left, qL)
       construct(right, qR)
     }

@@ -1,6 +1,7 @@
 package repro.core
 
-import java.nio.file.Files
+import java.io.IOException
+import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -105,6 +106,20 @@ class DataSourceSpec extends SparkSpec {
     Oracle.assertEquivalent(viaV2,
       "SELECT etype, CAST(count(*) AS BIGINT) AS n FROM v GROUP BY etype",
       "v" -> plain)
+  }
+
+  test("a truncated partition file fails the read instead of returning a prefix") {
+    val dir = Files.createTempDirectory("hqi-truncated").toString
+    HQIStore.write(hqi, dir)
+    val leaf = HQIStore.readMeta(dir).leaves.maxBy(_.size)
+    val file = Paths.get(dir, leaf.file)
+    Files.write(file, Files.readAllBytes(file).take((Files.size(file) / 2).toInt))
+    val e = intercept[Exception](spark.read.format("hqi").load(dir).count())
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists { c =>
+      c.isInstanceOf[IOException] && c.getMessage.contains(file.toString) &&
+        c.getMessage.contains(s"of ${leaf.size} rows")
+    }, causes.map(_.toString).mkString("\n"))
   }
 
   test("a flat index (no qd-tree) stores no semantics and never prunes") {

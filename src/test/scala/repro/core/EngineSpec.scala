@@ -200,6 +200,15 @@ class EngineSpec extends SparkSpec {
       assert(run.results(qid).map(_._1).toSeq == ids, s"qid $qid differs")
   }
 
+  test("options that would fail inside a pass are rejected at construction") {
+    val bad = Seq[() => EngineOptions](
+      () => EngineOptions(k = 0),
+      () => EngineOptions(defaultNprobe = 0),
+      () => EngineOptions(nprobe = Map(1 -> 4, 2 -> 0)),
+      () => EngineOptions(postFilterExpansion = 0))
+    for (make <- bad) intercept[IllegalArgumentException](make())
+  }
+
   test("work counters are identical across two passes of the same workload") {
     for ((strategy, index) <- Seq("HQI" -> hqi(this), "PreFilter" -> flat(this), "PostFilter" -> flat(this))) {
       val opts = Harness.strategyOpts(strategy, workload.k).copy(defaultNprobe = 4)

@@ -17,9 +17,10 @@ class HQISpec extends SparkSpec {
   test("m > 0 builds centroid predicates and a global centroid table") {
     val idx = IndexBuilder.buildHQI(db(this), KGData.AttrCols, Metric.IP, workload,
       HQIOptions(minSize = 256, m = 5, numGlobalCentroids = 16))
-    assert(idx.globalCentroids.isDefined)
-    assert(idx.globalCentroids.get.length == 16)
-    assert(idx.qdtree.get.preds.exists(_.describe.startsWith("__centroid")))
+    val Routing.ByQDTree(tree, centroids) = idx.routing: @unchecked
+    assert(centroids.isDefined)
+    assert(centroids.get.global.length == 16)
+    assert(tree.preds.exists(_.describe.startsWith("__centroid")))
     idx.unpersist()
   }
 

@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
 import repro.core.engine._
+import repro.core.ivf.IVF
 import repro.core.qdtree.Pred
 import repro.core.vec.Metric
 import repro.workload.{Bigann, KGData, Templates}
@@ -39,7 +40,7 @@ class IndexBuilderSpec extends SparkSpec {
 
   test("HQI index: leaves cover all rows disjointly and routing metadata is present") {
     val idx = IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, history, HQIOptions(minSize = 256))
-    assert(idx.qdtree.isDefined)
+    assert(idx.routing.isInstanceOf[Routing.ByQDTree])
     assert(idx.numPartitions > 1)
     assert(idx.leaves.map(_.size).sum == 3000)
     val partCounts = idx.data.groupBy(IndexBuilder.PartCol).count().collect()
@@ -61,7 +62,7 @@ class IndexBuilderSpec extends SparkSpec {
     val idx = IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, empty)
     assert(idx.name == "HQI")
     assert(idx.numPartitions == 1)
-    assert(idx.qdtree.isEmpty)
+    assert(idx.routing == Routing.All)
     idx.unpersist()
   }
 
@@ -88,7 +89,7 @@ class IndexBuilderSpec extends SparkSpec {
 
   test("range index: rows land in the bucket covering their attribute value") {
     val idx = IndexBuilder.buildRange(bg, Bigann.AttrCols, Metric.L2, "a", numParts = 8)
-    val ranges = idx.leaves.map(l => l.partId -> l.range.get).toMap
+    val Routing.ByRange("a", ranges) = idx.routing: @unchecked
     val rows = idx.data.select("a", IndexBuilder.PartCol).limit(500).collect()
     rows.foreach { r =>
       val (lo, hi) = ranges(r.getInt(1))
@@ -118,6 +119,26 @@ class IndexBuilderSpec extends SparkSpec {
       assert(matching.subsetOf(routed), s"${t.name}")
     }
     idx.unpersist()
+  }
+
+  test("every layout: __cluster is the nearest centroid of the row's leaf, and leaf centroids are IVF.train of its vectors") {
+    val layouts = Seq(
+      IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP),
+      IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, history, HQIOptions(minSize = 256)),
+      IndexBuilder.buildRange(bg, Bigann.AttrCols, Metric.L2, "a", numParts = 8))
+    for (idx <- layouts) {
+      val rows = idx.data.select("id", "vec", IndexBuilder.PartCol, IndexBuilder.ClusterCol)
+        .orderBy("id").collect()
+        .map(r => (r.getSeq[Float](1).toArray, r.getInt(2), r.getInt(3)))
+      for ((vec, part, cluster) <- rows)
+        assert(cluster == IVF.assign(vec, idx.leafById(part).centroids), s"${idx.name}: leaf $part")
+      for (l <- idx.leaves if l.size > 0) {
+        val vecs = rows.collect { case (v, p, _) if p == l.partId => v }
+        val want = IVF.train(vecs, 7 + l.partId)
+        assert(l.centroids.map(_.toSeq).toSeq == want.map(_.toSeq).toSeq, s"${idx.name}: leaf ${l.partId}")
+      }
+      idx.unpersist()
+    }
   }
 
   test("build times are recorded") {
