@@ -109,9 +109,8 @@ private[datasource] class HQIScanBuilder(path: String, meta: HQIStore.HQIStoreMe
   override def pruneColumns(requiredSchema: StructType): Unit = { required = requiredSchema }
 
   override def build(): Scan = {
-    val predIdx: Map[String, Int] = meta.preds.iterator.map(_.describe).zipWithIndex.toMap
-    val known: Seq[Int] = pushed.toSeq.flatMap(HQIDataSource.toPred)
-      .flatMap(p => predIdx.get(p.describe))
+    val predIdx: Map[Pred, Int] = meta.preds.zipWithIndex.toMap
+    val known: Seq[Int] = pushed.toSeq.flatMap(HQIDataSource.toPred).flatMap(predIdx.get)
     // A partition survives iff its semantic description supports every
     // recognized pushed predicate (conjunctive semantics).
     val surviving = meta.leaves.filter { l =>

@@ -1,7 +1,7 @@
 package repro.core.engine
 
-import org.apache.spark.TaskContext
-import org.apache.spark.sql.Row
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 
 import scala.collection.mutable
 
@@ -75,7 +75,6 @@ object BatchEngine {
                                     queryVecs: Array[Array[Float]],
                                     templates: Map[Int, Seq[Pred]],
                                     probes: Map[Long, Array[Int]],
-                                    indexId: String,
                                     metric: Metric,
                                     heapK: Int,
                                     vectorBatching: Boolean,
@@ -100,7 +99,7 @@ object BatchEngine {
     */
   def run(index: PartitionedIndex, workload: Workload, opts: EngineOptions): EngineRun = {
     val t0 = System.currentTimeMillis()
-    val sc = index.data.sparkSession.sparkContext
+    val sc = index.cells.sparkContext
 
     // ---- Driver planning: route queries to partitions, pick probe cells. ----
     val nq = workload.queries.length
@@ -172,20 +171,14 @@ object BatchEngine {
       qTids, qVecs,
       workload.templates.map(t => t.id -> t.preds).toMap,
       probes.iterator.map { case (k, b) => k -> b.result() }.toMap,
-      index.indexId, index.metric, opts.heapK,
+      index.metric, opts.heapK,
       opts.vectorBatching, opts.attrBatching, opts.postFilter, opts.eagerBitmap)
     val planB = sc.broadcast(plan)
 
     // ---- Distributed scan (Algorithm 3 per Spark partition), one job. ----
-    val schema = index.data.schema
-    val idIdx = schema.fieldIndex("id")
-    val vecIdx = schema.fieldIndex("vec")
-    val partIdx = schema.fieldIndex(IndexBuilder.PartCol)
-    val clusterIdx = schema.fieldIndex(IndexBuilder.ClusterCol)
-    val attrIdx: Seq[(String, Int)] = index.attrCols.map(a => a -> schema.fieldIndex(a))
-
-    val parts = index.data.rdd.mapPartitions { rows =>
-      Iterator.single(scanPartition(rows, planB.value, idIdx, vecIdx, partIdx, clusterIdx, attrIdx))
+    val attrCols = index.attrCols
+    val parts = index.cells.mapPartitions { it =>
+      Iterator.single(scanPartition(it.next(), planB.value, attrCols))
     }.collect()
 
     // ---- Global top-k merge on the driver: one heap per query. ----
@@ -211,85 +204,55 @@ object BatchEngine {
                                      parts.map(_.filterRows).sum, routedTuples, wall))
   }
 
-  /** One IVF cell's posting list as cached on an executor: its rows' ids and
+  /** One IVF cell's posting list as resident in an index: its rows' ids and
     * vectors as one d-major [[Block]] (the only copy of the vectors), and
     * each row's attribute values.
     */
-  private[engine] final class Cell(val block: Block, val attrs: Array[Array[Any]])
+  private[engine] final class Cell(val block: Block, val attrs: Array[Array[Any]]) extends Serializable
 
-  /** Executor-side posting-list cache: a [[PartitionedIndex]] is immutable
-    * once built, so each Spark partition's decoded posting lists are parsed
-    * from the cached DataFrame once and reused across every batch pass over
-    * the same index — the in-memory index residency a real vector database
-    * has, without which every run would re-pay row decoding.
+  /** Decode an index layout's rows into its posting lists: per Spark
+    * partition, one [[Cell]] per probe key `(__part, __cluster)` holding that
+    * partition's rows of the cell, with the attributes in `attrCols` order.
     */
-  private[engine] object CellCache {
-    private val cache =
-      new java.util.concurrent.ConcurrentHashMap[(String, Int), mutable.HashMap[Long, Cell]]()
-    private val order = new java.util.concurrent.ConcurrentLinkedQueue[(String, Int)]()
-    private val MaxKeys = 512
-
-    def get(k: (String, Int)): mutable.HashMap[Long, Cell] = cache.get(k)
-
-    def put(k: (String, Int), v: mutable.HashMap[Long, Cell]): Unit = {
-      if (cache.putIfAbsent(k, v) == null) {
-        order.add(k)
-        while (cache.size > MaxKeys) {
-          val victim = order.poll()
-          if (victim != null) cache.remove(victim) else return
+  private[engine] def decode(data: DataFrame, attrCols: Seq[String]): RDD[mutable.HashMap[Long, Cell]] = {
+    val schema = data.schema
+    val idIdx = schema.fieldIndex("id")
+    val vecIdx = schema.fieldIndex("vec")
+    val partIdx = schema.fieldIndex(IndexBuilder.PartCol)
+    val clusterIdx = schema.fieldIndex(IndexBuilder.ClusterCol)
+    val rowIdx: Array[Int] = attrCols.map(schema.fieldIndex).toArray
+    data.rdd.mapPartitions { rows =>
+      val built = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, Array[Float], Array[Any])]]
+      rows.foreach { r =>
+        val k = key(r.getInt(partIdx), r.getInt(clusterIdx))
+        val attrs = new Array[Any](rowIdx.length)
+        var i = 0
+        while (i < rowIdx.length) {
+          attrs(i) = if (r.isNullAt(rowIdx(i))) null else r.get(rowIdx(i))
+          i += 1
         }
+        built.getOrElseUpdate(k, mutable.ArrayBuffer.empty) +=
+          ((r.getLong(idIdx), r.getSeq[Float](vecIdx).toArray, attrs))
       }
-    }
-
-    /** Drop every cached partition of one index (local-mode unpersist). */
-    def invalidate(indexId: String): Unit = {
-      val it = cache.keySet.iterator
-      while (it.hasNext) if (it.next()._1 == indexId) it.remove()
+      Iterator.single(built.map { case (k, b) =>
+        k -> new Cell(Block(b.map(_._1).toArray, b.map(_._2).toArray, b.head._2.length), b.map(_._3).toArray)
+      })
     }
   }
 
-  /** Per-Spark-partition execution: group local rows into (part, cell)
-    * posting lists, then evaluate each (filter, cell) query group — one
-    * filter pass (bitmap) and one batched score kernel per group.
+  /** Per-Spark-partition execution over the partition's decoded posting
+    * lists: evaluate each (filter, cell) query group — one filter pass
+    * (bitmap) and one batched score kernel per group.
     */
-  private def scanPartition(rows: Iterator[Row], plan: ExecPlan,
-                            idIdx: Int, vecIdx: Int, partIdx: Int, clusterIdx: Int,
-                            attrIdx: Seq[(String, Int)]): TaskResult = {
+  private def scanPartition(cells: mutable.HashMap[Long, Cell], plan: ExecPlan,
+                            attrCols: Seq[String]): TaskResult = {
     var tuplesScanned = 0L; var distComps = 0L; var filterRows = 0L
     // Compile each template's predicates against positions in the per-row
     // attribute array, so filter evaluation is array indexing, not map
     // lookups, on the hot path.
-    val attrPos: Map[String, Int] = attrIdx.map(_._1).zipWithIndex.toMap
+    val attrPos: Map[String, Int] = attrCols.zipWithIndex.toMap
     val compiled: Map[Int, Array[(Pred, Int)]] = plan.templates.map { case (tid, preds) =>
       tid -> preds.map(p => (p, attrPos.getOrElse(p.attr, -1))).toArray
-    }
-    val rowIdx: Array[Int] = attrIdx.map(_._2).toArray
-
-    // Decode this Spark partition's posting lists once per index; later
-    // passes over the same index partition hit the cache.
-    val cacheKey = (plan.indexId, TaskContext.getPartitionId())
-    val cells: mutable.HashMap[Long, Cell] = {
-      val hit = CellCache.get(cacheKey)
-      if (hit != null) hit
-      else {
-        val built = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, Array[Float], Array[Any])]]
-        rows.foreach { r =>
-          val k = key(r.getInt(partIdx), r.getInt(clusterIdx))
-          val attrs = new Array[Any](rowIdx.length)
-          var i = 0
-          while (i < rowIdx.length) {
-            attrs(i) = if (r.isNullAt(rowIdx(i))) null else r.get(rowIdx(i))
-            i += 1
-          }
-          built.getOrElseUpdate(k, mutable.ArrayBuffer.empty) +=
-            ((r.getLong(idIdx), r.getSeq[Float](vecIdx).toArray, attrs))
-        }
-        val frozen = built.map { case (k, b) =>
-          k -> new Cell(Block(b.map(_._1).toArray, b.map(_._2).toArray, b.head._2.length), b.map(_._3).toArray)
-        }
-        CellCache.put(cacheKey, frozen)
-        frozen
-      }
     }
 
     def matches(preds: Array[(Pred, Int)], attrs: Array[Any]): Boolean = {

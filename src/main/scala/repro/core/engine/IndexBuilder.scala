@@ -1,6 +1,6 @@
 package repro.core.engine
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.roaringbitmap.RoaringBitmap
 
@@ -44,30 +44,30 @@ object IndexBuilder {
 
   private def now(): Long = System.currentTimeMillis()
 
-  /** Every row's id, vector and `part` value in id order; tuple `i` of a
-    * build is the row with id `ids(i)`.
+  /** Every row's id and vector in id order; tuple `i` of a build is the row
+    * with id `ids(i)`. The same collect carries the `extra` columns, which
+    * `each(i, row)` reads from position 2 on.
     */
-  private def collectVectors(db: DataFrame, part: Column = lit(0))
-      : (Array[Long], Array[Array[Float]], Array[Int]) = {
-    val rows = db.select(col("id"), col("vec"), part).orderBy("id").collect()
+  private def collectVectors(db: DataFrame, extra: Seq[Column] = Nil)(each: (Int, Row) => Unit)
+      : (Array[Long], Array[Array[Float]]) = {
+    val rows = db.select(col("id") +: col("vec") +: extra: _*).orderBy("id").collect()
     val ids = new Array[Long](rows.length)
     val vecs = new Array[Array[Float]](rows.length)
-    val parts = new Array[Int](rows.length)
     var i = 0
     while (i < rows.length) {
       ids(i) = rows(i).getLong(0)
       vecs(i) = rows(i).getSeq[Float](1).toArray
-      parts(i) = rows(i).getInt(2)
+      each(i, rows(i))
       i += 1
     }
-    (ids, vecs, parts)
+    (ids, vecs)
   }
 
   /** The build step every layout shares. Partition `p` (tuples with
     * `partOf(i) == p`, in id order) gets √|P| IVF cells trained with seed
     * `seed + p`, or one zero centroid when it is empty; every tuple is
-    * assigned its nearest cell, and the data is laid out and cached by
-    * `(__part, __cluster)`.
+    * assigned its nearest cell, the data is laid out and cached by
+    * `(__part, __cluster)`, and its posting lists are decoded and persisted.
     */
   private def build(name: String, db: DataFrame, attrCols: Seq[String], metric: Metric,
                     routing: Routing, ids: Array[Long], vecs: Array[Array[Float]],
@@ -93,8 +93,9 @@ object IndexBuilder {
       .drop("__place")
       .repartition(db.sparkSession.sparkContext.defaultParallelism, col(PartCol), col(ClusterCol))
       .cache()
-    data.count()
-    new PartitionedIndex(name, data, attrCols, metric, leaves, routing, now() - t0)
+    val cells = BatchEngine.decode(data, attrCols).persist()
+    cells.count()
+    new PartitionedIndex(name, data, cells, attrCols, metric, leaves, routing, now() - t0)
   }
 
   /** Strategy B/D layout: one logical partition, a single IVF with √n cells
@@ -104,8 +105,8 @@ object IndexBuilder {
   def buildFlat(db: DataFrame, attrCols: Seq[String], metric: Metric,
                 name: String = "PreFilter", seed: Long = 7): PartitionedIndex = {
     val t0 = now()
-    val (ids, vecs, parts) = collectVectors(db)
-    build(name, db, attrCols, metric, Routing.All, ids, vecs, parts, 1, seed, t0)
+    val (ids, vecs) = collectVectors(db)((_, _) => ())
+    build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1, seed, t0)
   }
 
   /** Strategy C layout: equi-depth range partitions on `rangeAttr`, one IVF
@@ -122,9 +123,10 @@ object IndexBuilder {
       while (b < numParts - 1 && v >= cuts(b)) b += 1
       b
     }
-    val (ids, vecs, parts) = collectVectors(db, coalesce(bucket(col(rangeAttr)), lit(0)))
+    val parts = new mutable.ArrayBuilder.ofInt
+    val (ids, vecs) = collectVectors(db, Seq(coalesce(bucket(col(rangeAttr)), lit(0))))((_, r) => parts += r.getInt(2))
     build("Range", db, attrCols, metric, Routing.ByRange(rangeAttr, edges.zip(edges.tail)),
-          ids, vecs, parts, numParts, seed, t0)
+          ids, vecs, parts.result(), numParts, seed, t0)
   }
 
   /** HQI (§4): balanced qd-tree over the historical workload's predicates
@@ -138,53 +140,43 @@ object IndexBuilder {
       return buildFlat(db, attrCols, metric, name = "HQI", seed = opts.kmeansSeed)
 
     val t0 = now()
-    val (ids, vecs, _) = collectVectors(db)
+    // Extract cut predicates from the workload, deduplicated by value.
+    val attrPreds: Array[Pred] = history.templates.flatMap(_.preds).distinct.toArray
+
+    // The id/vector collect also evaluates every attribute predicate over V
+    // in Catalyst: one support bitmap of tuple indices per predicate.
+    val attrSupport = Array.fill(attrPreds.length)(new RoaringBitmap())
+    val (ids, vecs) = collectVectors(db, attrPreds.toSeq.map(_.toColumn)) { (i, r) =>
+      var j = 0
+      while (j < attrPreds.length) {
+        if (!r.isNullAt(j + 2) && r.getBoolean(j + 2)) attrSupport(j).add(i)
+        j += 1
+      }
+    }
     val n = ids.length
 
     // §4.1.1: global centroid attribute t.c (only when centroid routing is on).
     val globalCentroids: Option[Array[Array[Float]]] =
       if (opts.m > 0) Some(KMeans.train(vecs, opts.numGlobalCentroids, IVF.AssignMetric, seed = opts.kmeansSeed))
       else None
-    val tupleCentroid: Array[Int] = globalCentroids.fold(Array.empty[Int])(c => vecs.map(IVF.assign(_, c)))
-
-    // Extract cut predicates from the workload (dedup by display form).
-    val attrPreds: Array[Pred] = {
-      val seen = mutable.LinkedHashMap.empty[String, Pred]
-      for (t <- history.templates; p <- t.preds) seen.getOrElseUpdate(p.describe, p)
-      seen.values.toArray
-    }
     val centroidPreds: Array[Pred] =
       globalCentroids.fold(Array.empty[Pred])(c => Array.tabulate(c.length)(Pred.CentroidEq(_)))
     val preds: Array[Pred] = attrPreds ++ centroidPreds
 
-    // One Catalyst pass evaluates every attribute predicate over V.
-    val support: Array[RoaringBitmap] = {
-      val boolCols = attrPreds.zipWithIndex.map { case (p, i) => p.toColumn.as(s"p$i") }
-      val rows = db.select(col("id") +: boolCols.toSeq: _*).orderBy("id").collect()
-      val bitmaps = Array.fill(preds.length)(new RoaringBitmap())
-      var i = 0
-      while (i < rows.length) {
-        var j = 0
-        while (j < attrPreds.length) {
-          if (!rows(i).isNullAt(j + 1) && rows(i).getBoolean(j + 1)) bitmaps(j).add(i)
-          j += 1
-        }
-        i += 1
-      }
-      // Centroid predicate supports come from the driver-side assignment.
-      if (centroidPreds.nonEmpty) {
-        var t = 0
-        while (t < n) { bitmaps(attrPreds.length + tupleCentroid(t)).add(t); t += 1 }
-      }
-      bitmaps
+    // Centroid predicate supports come from the driver-side assignment.
+    val centroidSupport = Array.fill(centroidPreds.length)(new RoaringBitmap())
+    globalCentroids.foreach { c =>
+      var t = 0
+      while (t < n) { centroidSupport(IVF.assign(vecs(t), c)).add(t); t += 1 }
     }
+    val support: Array[RoaringBitmap] = attrSupport ++ centroidSupport
 
-    val predIdx: Map[String, Int] = preds.iterator.map(_.describe).zipWithIndex.toMap
+    val predIdx: Map[Pred, Int] = preds.zipWithIndex.toMap
 
     // Deduplicate the workload into weighted routed shapes.
     val shapes: Seq[RoutedQuery] = {
       val templatePreds: Map[Int, Seq[Seq[Int]]] =
-        history.templates.map(t => t.id -> t.preds.map(p => Seq(predIdx(p.describe)))).toMap
+        history.templates.map(t => t.id -> t.preds.map(p => Seq(predIdx(p)))).toMap
       globalCentroids match {
         case None =>
           history.queries.groupBy(_.templateId).map { case (tid, qs) =>
@@ -198,7 +190,7 @@ object IndexBuilder {
             }
             .groupBy(identity)
             .map { case ((tid, qc), qs) =>
-              val centroidClause = qc.map(c => predIdx(Pred.CentroidEq(c).describe))
+              val centroidClause = qc.map(c => predIdx(Pred.CentroidEq(c)))
               RoutedQuery(templatePreds(tid) :+ centroidClause, qs.size.toLong)
             }.toSeq
       }

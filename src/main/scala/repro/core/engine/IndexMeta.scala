@@ -1,6 +1,10 @@
 package repro.core.engine
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
+
+import scala.collection.mutable
+
 import repro.core.ivf.IVF
 import repro.core.qdtree.{Pred, QDTree}
 import repro.core.vec.{Block, Metric, VectorOps}
@@ -34,19 +38,19 @@ final case class LeafMeta(partId: Int, size: Long, centroids: Array[Array[Float]
 
 /** A built, partitioned vector index: the physical layout lives in `data`
   * (columns `id, vec, <attrs…>, __part, __cluster`, repartitioned and cached
-  * by `(__part, __cluster)`), everything needed for routing/probing lives in
-  * driver metadata.
+  * by `(__part, __cluster)`), its decoded posting lists in `cells` (one
+  * persisted map from probe key to [[BatchEngine.Cell]] per Spark partition
+  * of `data`, which every batch pass scans), and everything needed for
+  * routing/probing in driver metadata.
   */
 final class PartitionedIndex(val name: String,
                              val data: DataFrame,
+                             private[engine] val cells: RDD[mutable.HashMap[Long, BatchEngine.Cell]],
                              val attrCols: Seq[String],
                              val metric: Metric,
                              val leaves: Array[LeafMeta],
                              val routing: Routing,
                              val buildMillis: Long) extends Serializable {
-
-  /** Stable identity for executor-side posting-list caching. */
-  val indexId: String = java.util.UUID.randomUUID().toString
 
   val leafById: Map[Int, LeafMeta] = leaves.map(l => l.partId -> l).toMap
 
@@ -95,9 +99,7 @@ final class PartitionedIndex(val name: String,
     }
 
   def unpersist(): Unit = {
+    cells.unpersist()
     data.unpersist()
-    // local[*] shares the JVM with executors, so this clears their cache too;
-    // in a distributed deployment entries simply age out.
-    BatchEngine.CellCache.invalidate(indexId)
   }
 }

@@ -21,7 +21,10 @@ sealed trait Pred extends Serializable {
   /** Value-level semantics: `v` is the attribute's value or null (SQL NULL). */
   def evalValue(v: Any): Boolean
   def toColumn: Column
-  /** Stable display form; doubles as the cut-predicate identity. */
+  /** Display form, for logs and reports only: distinct predicates can
+    * display alike (`In(a, Set("x,y"))` and `In(a, Set("x", "y"))`), so
+    * cut predicates are identified by value (case-class equality).
+    */
   def describe: String
 }
 

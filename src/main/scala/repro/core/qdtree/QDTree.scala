@@ -36,12 +36,12 @@ final class QDTree(val preds: Array[Pred],
                    val leaves: Array[QDLeaf],
                    val leafOfTuple: Array[Int]) extends Serializable {
 
-  private val predIndex: Map[String, Int] = preds.iterator.map(_.describe).zipWithIndex.toMap
+  private val predIndex: Map[Pred, Int] = preds.zipWithIndex.toMap
 
   def numLeaves: Int = leaves.length
 
   /** Index of an extracted predicate, if the tree knows it. */
-  def indexOf(p: Pred): Option[Int] = predIndex.get(p.describe)
+  def indexOf(p: Pred): Option[Int] = predIndex.get(p)
 
   /** Leaves that must be accessed for a query (§4.1.3): every clause must be
     * satisfiable in the leaf per its semantic description. Clauses referring

@@ -8,7 +8,7 @@ import jdk.incubator.vector.{FloatVector, VectorOperators, VectorSpecies}
   * the padding rows are zero and their scores are never pushed.
   * `ids` and `x` may be longer than the block (reused scratch buffers).
   */
-final class Block(val ids: Array[Long], val n: Int, val d: Int, val x: Array[Float]) {
+final class Block(val ids: Array[Long], val n: Int, val d: Int, val x: Array[Float]) extends Serializable {
   val stride: Int = Block.stride(n)
 }
 

@@ -133,4 +133,18 @@ class DataSourceSpec extends SparkSpec {
     assert(df.count() == 3000)
     flat.unpersist()
   }
+
+  test("pushed filters match index predicates by value, not by display form") {
+    val (alike, w) = EngineFixtures.alikeTable(spark)
+    val idx = IndexBuilder.buildHQI(alike, Seq("genre"), Metric.IP, w, HQIOptions(minSize = 50))
+    val dir = Files.createTempDirectory("hqi-alike").toString
+    HQIStore.write(idx, dir)
+    val stored = spark.read.format("hqi").load(dir)
+    for (t <- w.templates) {
+      val want = alike.filter(Pred.and(t.preds)).count()
+      val got = stored.filter(Pred.and(t.preds)).count()
+      assert(got == want, s"${t.name}: v2=$got direct=$want")
+    }
+    idx.unpersist()
+  }
 }

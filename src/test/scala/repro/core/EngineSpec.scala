@@ -1,13 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.SparkSpec
 import repro.core.engine._
 import repro.core.qdtree.Pred
 import repro.core.vec.Metric
 import repro.harness.Harness
-import repro.workload.{KGData, Templates, Workload}
+import repro.workload.{HybridQuery, KGData, Template, Templates, Workload}
 
 /** Shared small-scale fixtures: one KG database and its indexes, built once
   * per test run (building indexes is the expensive part).
@@ -41,6 +41,21 @@ object EngineFixtures {
   def flat(spec: SparkSpec): PartitionedIndex = synchronized {
     if (_flat == null) _flat = IndexBuilder.buildFlat(db(spec), KGData.AttrCols, Metric.IP)
     _flat
+  }
+
+  /** A table whose string attribute `genre` holds `a`, `b` and `a,b`, with a
+    * history of the templates `genre IN ('a,b')` and `genre IN ('a', 'b')`,
+    * whose predicates display alike.
+    */
+  def alikeTable(spark: SparkSession): (DataFrame, Workload) = {
+    import spark.implicits._
+    val rnd = new scala.util.Random(5)
+    val db = (0 until 600).map(i => (i.toLong, Array.fill(4)(rnd.nextFloat()), Seq("a", "b", "a,b")(i % 3)))
+      .toDF("id", "vec", "genre")
+    val templates = Seq(Template(1, "comma", Seq(Pred.In("genre", Set("a,b")))),
+                        Template(2, "pair", Seq(Pred.In("genre", Set("a", "b")))))
+    val queries = (0 until 40).map(q => HybridQuery(q.toLong, 1 + q % 2, Array.fill(4)(rnd.nextFloat())))
+    (db, Workload(templates, queries, 10, Metric.IP))
   }
 
   /** Exhaustive ground truth over `w` using any index (layout-independent). */
@@ -216,5 +231,38 @@ class EngineSpec extends SparkSpec {
       assert(a == b, s"$strategy counters differ between passes")
       assert(a.tuplesScanned > 0 && a.distComps > 0 && a.routedTuples > 0, s"$strategy: $a")
     }
+  }
+
+  /** Ids of the RDDs Spark currently keeps persisted. */
+  private def persistedIds: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
+
+  /** A fresh HQI index and the ids of the RDDs its build persisted. */
+  private def buildTracked(): (PartitionedIndex, Set[Int]) = {
+    workload
+    val before = persistedIds
+    val idx = IndexBuilder.buildHQI(db(this), KGData.AttrCols, Metric.IP, workload, HQIOptions(minSize = 256))
+    (idx, persistedIds -- before)
+  }
+
+  test("unpersist releases every RDD the index build persisted") {
+    val (idx, built) = buildTracked()
+    assert(built.nonEmpty)
+    idx.unpersist()
+    assert((persistedIds intersect built).isEmpty, s"still persisted: ${persistedIds intersect built}")
+  }
+
+  test("a pass after the index's persisted blocks are evicted returns the same results and counters") {
+    val (idx, built) = buildTracked()
+    val opts = EngineOptions(k = workload.k, defaultNprobe = 8)
+    val resident = BatchEngine.run(idx, workload, opts)
+    // Evict as the block manager would; Spark recomputes from lineage.
+    built.foreach(id => spark.sparkContext.getPersistentRDDs(id).unpersist(blocking = true))
+    assert(spark.sparkContext.getRDDStorageInfo.forall(r => !built(r.id)))
+    val recomputed = BatchEngine.run(idx, workload, opts)
+    assert(recomputed.metrics.copy(wallMillis = 0) == resident.metrics.copy(wallMillis = 0))
+    assert(recomputed.results.keySet == resident.results.keySet)
+    for ((qid, rs) <- resident.results)
+      assert(recomputed.results(qid).sameElements(rs), s"qid $qid: ids or scores differ")
+    idx.unpersist()
   }
 }

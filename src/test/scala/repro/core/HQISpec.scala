@@ -80,4 +80,17 @@ class HQISpec extends SparkSpec {
     val hqiMs = hqi(this).buildMillis
     assert(hqiMs < flatMs * 6, s"HQI build ($hqiMs ms) should be within 6x of flat ($flatMs ms)")
   }
+
+  test("predicates that display alike route by value: nprobe=∞ equals exhaustive for both templates") {
+    val (db, w) = alikeTable(spark)
+    val idx = IndexBuilder.buildHQI(db, Seq("genre"), Metric.IP, w, HQIOptions(minSize = 50))
+    val maxCells = idx.leaves.map(_.centroids.length).sum
+    val exact = BatchEngine.run(idx, w, EngineOptions(k = w.k, exhaustive = true)).results
+    val routed = BatchEngine.run(idx, w, EngineOptions(k = w.k, defaultNprobe = maxCells)).results
+    assert(w.queries.forall(q => exact.contains(q.qid)))
+    for (q <- w.queries)
+      assert(routed.getOrElse(q.qid, Array.empty).map(_._1).sameElements(exact(q.qid).map(_._1)),
+             s"qid ${q.qid} (template ${q.templateId}) differs")
+    idx.unpersist()
+  }
 }
