@@ -21,11 +21,11 @@ import repro.core.qdtree.Pred
   *
   * One [[InputPartition]] per stored index partition. The scan builder
   * implements filter pushdown: pushed relational filters are translated to
-  * the index's extracted predicates and partitions whose *semantic
-  * description* (§4.1) says no tuple can satisfy them are pruned from the
-  * plan — the storage-layer twin of HQI's query routing. Pushed filters are
-  * reported back to Spark for re-evaluation, so pruning is purely a
-  * performance optimization and never changes results.
+  * predicates and the stored index's `Routing` prunes the partitions that
+  * cannot satisfy them — the same rule, and the same code, as HQI's query
+  * routing (§4.1.3). Pushed filters are reported back to Spark for
+  * re-evaluation, so pruning is purely a performance optimization and never
+  * changes results.
   */
 class HQIDataSource extends TableProvider with DataSourceRegister {
   override def shortName(): String = "hqi"
@@ -52,10 +52,7 @@ class HQIDataSource extends TableProvider with DataSourceRegister {
 object HQIDataSource {
   /** Full table schema: id, vec, attributes, then the layout columns. */
   def schemaFor(meta: HQIStore.HQIStoreMeta): StructType = {
-    val attrFields = meta.attrs.map { af =>
-      val dt = if (af.kind == "double") DoubleType else StringType
-      StructField(af.name, dt, nullable = true)
-    }
+    val attrFields = meta.attrs.map(af => StructField(af.name, af.dataType, nullable = true))
     StructType(
       Seq(StructField("id", LongType, nullable = false),
           StructField("vec", ArrayType(FloatType, containsNull = false), nullable = false)) ++
@@ -64,8 +61,8 @@ object HQIDataSource {
           StructField("__cluster", IntegerType, nullable = false)))
   }
 
-  /** Translate a pushed source filter to one of the index's extracted cut
-    * predicates, if it matches one exactly.
+  /** Translate a pushed source filter to a predicate, if it has one; routing
+    * then matches it against the index's cut predicates by value.
     */
   def toPred(f: Filter): Option[Pred] = f match {
     case sources.EqualTo(a, v: String)             => Some(Pred.StrEq(a, v))
@@ -109,16 +106,8 @@ private[datasource] class HQIScanBuilder(path: String, meta: HQIStore.HQIStoreMe
   override def pruneColumns(requiredSchema: StructType): Unit = { required = requiredSchema }
 
   override def build(): Scan = {
-    val predIdx: Map[Pred, Int] = meta.preds.zipWithIndex.toMap
-    val known: Seq[Int] = pushed.toSeq.flatMap(HQIDataSource.toPred).flatMap(predIdx.get)
-    // A partition survives iff its semantic description supports every
-    // recognized pushed predicate (conjunctive semantics).
-    val surviving = meta.leaves.filter { l =>
-      l.semantic match {
-        case Some(bits) => val s = bits.toSet; known.forall(s.contains)
-        case None       => true
-      }
-    }
+    val routed = meta.routing.route(pushed.toSeq.flatMap(HQIDataSource.toPred), None, meta.leaves.size).toSet
+    val surviving = meta.leaves.filter(l => routed(l.partId))
     new HQIScan(path, meta, surviving, required)
   }
 }
@@ -154,8 +143,13 @@ private[datasource] class HQIPartitionReader(part: HQIInputPartition,
                                              required: StructType)
     extends PartitionReader[InternalRow] {
 
+  private def truncated(what: String, e: EOFException) =
+    new IOException(s"${part.file} is truncated: $what", e)
+
   private val in = new DataInputStream(new BufferedInputStream(new FileInputStream(part.file)))
-  private val total = in.readInt()
+  private val total =
+    try in.readInt()
+    catch { case e: EOFException => in.close(); throw truncated("no row-count header", e) }
   private var readCount = 0
   private var current: InternalRow = _
 
@@ -177,7 +171,7 @@ private[datasource] class HQIPartitionReader(part: HQIInputPartition,
         val present = in.readByte()
         attrVals(a) =
           if (present == 0) null
-          else if (meta.attrs(a).kind == "double") in.readDouble()
+          else if (meta.attrs(a).dataType == DoubleType) in.readDouble()
           else UTF8String.fromString(in.readUTF())
         a += 1
       }
@@ -188,8 +182,7 @@ private[datasource] class HQIPartitionReader(part: HQIInputPartition,
       readCount += 1
       true
     } catch {
-      case e: EOFException =>
-        throw new IOException(s"${part.file} is truncated: read $readCount of $total rows", e)
+      case e: EOFException => throw truncated(s"read $readCount of $total rows", e)
     }
   }
 

@@ -4,9 +4,9 @@ import java.io._
 import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{DataType, DoubleType, StringType}
 
 import repro.core.engine.{IndexBuilder, PartitionedIndex, Routing}
-import repro.core.qdtree.{Pred, QDTree}
 
 /** On-disk layout of a persisted HQI index (read back by [[HQIDataSource]]):
   *
@@ -22,20 +22,20 @@ import repro.core.qdtree.{Pred, QDTree}
   */
 object HQIStore {
 
-  /** Attribute field: name plus "double" | "string". */
-  final case class AttrField(name: String, kind: String) extends Serializable
+  /** Attribute field: name plus its Spark type, `DoubleType` or `StringType`. */
+  final case class AttrField(name: String, dataType: DataType) extends Serializable
 
-  /** Per-partition entry: file name, row count, and (for workload-aware
-    * indexes) the semantic description as the set of satisfied-predicate
-    * indices — `None` means "cannot prune this partition".
+  /** Per-partition entry: file name and row count. */
+  final case class LeafEntry(partId: Int, size: Long, file: String) extends Serializable
+
+  /** @param routing decides which leaves a pushed conjunction can touch: the
+    *                index's own routing for a qd-tree layout, [[Routing.All]]
+    *                (never prune) for the others
     */
-  final case class LeafEntry(partId: Int, size: Long, file: String,
-                             semantic: Option[Array[Int]]) extends Serializable
-
   final case class HQIStoreMeta(dim: Int,
                                 metricName: String,
                                 attrs: Seq[AttrField],
-                                preds: Array[Pred],
+                                routing: Routing,
                                 leaves: Seq[LeafEntry]) extends Serializable
 
   def metaPath(path: String): String = s"$path/_meta.bin"
@@ -61,20 +61,12 @@ object HQIStore {
     val partIdx = schema.fieldIndex(IndexBuilder.PartCol)
     val clusterIdx = schema.fieldIndex(IndexBuilder.ClusterCol)
     val attrs: Seq[AttrField] = index.attrCols.map { a =>
-      val f = schema(a)
-      val kind = f.dataType.typeName match {
-        case "double" => "double"
-        case "string" => "string"
-        case other => throw new IllegalArgumentException(s"unsupported attr type $other for $a")
-      }
-      AttrField(a, kind)
+      val dt = schema(a).dataType
+      if (dt != DoubleType && dt != StringType)
+        throw new IllegalArgumentException(s"unsupported attr type ${dt.typeName} for $a")
+      AttrField(a, dt)
     }
     val attrIdx = index.attrCols.map(schema.fieldIndex)
-
-    val tree: Option[QDTree] = index.routing match {
-      case Routing.ByQDTree(t, _) => Some(t)
-      case _                      => None
-    }
     val rows = index.data.collect()
     val byPart = rows.groupBy(_.getInt(partIdx))
     val dim = rows.headOption.map(_.getSeq[Float](vecIdx).size).getOrElse(0)
@@ -96,17 +88,22 @@ object HQIStore {
             if (r.isNullAt(ai)) out.writeByte(0)
             else {
               out.writeByte(1)
-              if (af.kind == "double") out.writeDouble(r.getDouble(ai))
+              if (af.dataType == DoubleType) out.writeDouble(r.getDouble(ai))
               else out.writeUTF(r.getString(ai))
             }
           }
         }
       } finally out.close()
-      val semantic = tree.map(_.leaves(lm.partId).semantic.toArray)
-      LeafEntry(lm.partId, partRows.length.toLong, fileName, semantic)
+      LeafEntry(lm.partId, partRows.length.toLong, fileName)
     }
 
-    val preds: Array[Pred] = tree.fold(Array.empty[Pred])(_.preds)
-    writeMeta(path, HQIStoreMeta(dim, index.metric.name, attrs, preds, leafEntries.toSeq))
+    // Qd-tree semantic bits were evaluated by Catalyst, so they prune Spark
+    // scans safely; range bounds compare like Scala (NaN lands in bucket 0,
+    // while Catalyst's NaN is greater than every number), so they do not.
+    val routing = index.routing match {
+      case r: Routing.ByQDTree => r
+      case _                   => Routing.All
+    }
+    writeMeta(path, HQIStoreMeta(dim, index.metric.name, attrs, routing, leafEntries.toSeq))
   }
 }

@@ -108,13 +108,13 @@ object BatchEngine {
     val qVecs = new Array[Array[Float]](nq)
     var routedTuples = 0L
     val probes = mutable.HashMap.empty[Long, mutable.ArrayBuilder.ofInt]
-    // Routing is per-template unless centroid routing (m > 0) is active.
-    val perQueryRouting = index.routing match {
-      case Routing.ByQDTree(_, Some(_)) => true
-      case _                            => false
-    }
-    val routeCache = mutable.HashMap.empty[Int, Seq[Int]]
+    // Routes are per template, computed once here, unless they depend on the
+    // query vector (centroid routing, m > 0).
     val allParts = index.leaves.map(_.partId).toSeq
+    val perQuery = !opts.exhaustive && index.routing.perQuery
+    val templateRoutes: Map[Int, Seq[Int]] = workload.templates.map { t =>
+      t.id -> (if (opts.exhaustive) allParts else index.routing.route(t.preds, None, index.numPartitions))
+    }.toMap
 
     // Per-query probe selection. nprobe counts cells *globally across the
     // query's routed partitions*, ranked by centroid distance — per-partition
@@ -124,16 +124,11 @@ object BatchEngine {
     val routedSizes = new Array[Long](nq)
     val centroidBlocks = index.centroidBlocks
     val scorers = ThreadLocal.withInitial(() => new BatchScorer)
-    val planQuery: Int => Unit = { qi =>
+    val planQuery: java.util.function.IntConsumer = { qi =>
       val q = workload.queries(qi)
       qQids(qi) = q.qid; qTids(qi) = q.templateId; qVecs(qi) = q.vec
-      val template = workload.templateById(q.templateId)
       val routed: Seq[Int] =
-        if (opts.exhaustive) allParts
-        else if (perQueryRouting) index.route(template, q.vec)
-        else routeCache.synchronized {
-          routeCache.getOrElseUpdate(q.templateId, index.route(template, q.vec))
-        }
+        if (perQuery) index.route(workload.templateById(q.templateId), q.vec) else templateRoutes(q.templateId)
       routedSizes(qi) = routed.iterator.map(index.leafById(_).size).sum
       if (opts.exhaustive) {
         perQueryCells(qi) = routed.iterator.flatMap { part =>
@@ -152,8 +147,10 @@ object BatchEngine {
       }
     }
     // Cell ranking over routed partitions is the planning hot loop —
-    // parallelize it across the driver's cores.
-    java.util.stream.IntStream.range(0, nq).parallel().forEach(qi => planQuery(qi))
+    // parallelize it across the driver's cores. `planQuery` is the stream's
+    // consumer itself: behind a wrapper lambda the JIT at times left it in
+    // profiled C1 code for a whole run, and planning took 4× as long.
+    java.util.stream.IntStream.range(0, nq).parallel().forEach(planQuery)
 
     var qi = 0
     while (qi < nq) {

@@ -198,7 +198,8 @@ object IndexBuilder {
 
     val tree = QDTree.build(n, preds, support, shapes, opts.minSize)
     val centroidRouting = globalCentroids.map(Routing.CentroidRouting(opts.m, _))
-    build("HQI", db, attrCols, metric, Routing.ByQDTree(tree, centroidRouting),
+    val routing = Routing.ByQDTree(tree.preds, tree.leaves.map(_.semantic), centroidRouting)
+    build("HQI", db, attrCols, metric, routing,
           ids, vecs, tree.leafOfTuple, tree.numLeaves, opts.kmeansSeed, t0)
   }
 }

@@ -3,6 +3,7 @@ package repro.core.engine
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 
+import scala.collection.immutable.BitSet
 import scala.collection.mutable
 
 import repro.core.ivf.IVF
@@ -10,23 +11,67 @@ import repro.core.qdtree.{Pred, QDTree}
 import repro.core.vec.{Block, Metric, VectorOps}
 import repro.workload.Template
 
-/** How queries are routed to index partitions at query time. Each layout's
-  * routing carries the data it routes by.
+/** Which partitions a conjunction of predicates can touch — the one pruning
+  * rule behind engine routing, `format("hqi")` filter pushdown and what a
+  * store persists. Each layout's routing carries the data it routes by.
   */
-sealed trait Routing extends Serializable
+sealed trait Routing extends Serializable {
+  /** Partitions, out of `numParts`, that may hold a tuple satisfying every
+    * predicate of `conjunction`; `qvec` adds the query vector's constraint
+    * when the routing has one (pruning is always safe without it).
+    */
+  def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int]
+  /** Whether routes depend on the query vector, not only on the predicates. */
+  def perQuery: Boolean = false
+}
 object Routing {
   /** Every query visits every partition (PreFilter / PostFilter / flat). */
-  case object All extends Routing
-  /** Semantic-description routing over the qd-tree's leaves (§4.1.3). */
-  final case class ByQDTree(tree: QDTree, centroids: Option[CentroidRouting] = None) extends Routing
+  case object All extends Routing {
+    def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int] = 0 until numParts
+  }
+  /** Semantic-description routing over the qd-tree's leaves (§4.1.3): leaf
+    * `i` may hold a tuple meeting every clause per `semantics(i)`, whose bit
+    * `j` is set iff some tuple of the leaf satisfies `preds(j)`. Predicates
+    * the tree was never trained on (matched by value) constrain nothing.
+    */
+  final case class ByQDTree(preds: Array[Pred], semantics: Array[BitSet],
+                            centroids: Option[CentroidRouting] = None) extends Routing {
+    @transient private lazy val predIndex: Map[Pred, Int] = preds.zipWithIndex.toMap
+    override def perQuery: Boolean = centroids.isDefined
+    def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int] = {
+      val attrClauses = conjunction.flatMap(predIndex.get).map(Seq(_))
+      // The centroid constraint is one disjunctive clause; an empty clause
+      // (no query vector, or no centroid predicate extracted) constrains nothing.
+      val centroidClause = for (c <- centroids.toSeq; v <- qvec.toSeq) yield
+        VectorOps.nearestN(v, c.global, c.m, IVF.AssignMetric).toSeq.flatMap(i => predIndex.get(Pred.CentroidEq(i)))
+      semantics.indices.filter(l => QDTree.satisfiable(semantics(l), attrClauses ++ centroidClause))
+    }
+  }
   /** The §4.1.1 centroid constraint: each query is routed with its `m`
     * nearest `global` centroids, so routing is per query, not per template.
     */
   final case class CentroidRouting(m: Int, global: Array[Array[Float]])
   /** Range-partitioned on one numeric attribute (Strategy C); partition `i`
-    * covers `[bounds(i)._1, bounds(i)._2)`.
+    * covers `[bounds(i)._1, bounds(i)._2)`. Predicates on other attributes
+    * cannot prune range partitions (the paper's point about Strategy C and
+    * non-partitioning attributes).
     */
-  final case class ByRange(attr: String, bounds: IndexedSeq[(Double, Double)]) extends Routing
+  final case class ByRange(attr: String, bounds: IndexedSeq[(Double, Double)]) extends Routing {
+    def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int] =
+      bounds.indices.filter { p =>
+        val (lo, hi) = bounds(p)
+        conjunction.forall {
+          case Pred.NumCmp(a, op, v) if a == attr => op match {
+            case Pred.Lt   => lo < v
+            case Pred.Le   => lo <= v
+            case Pred.Gt   => hi > v       // hi is exclusive: some x < hi with x > v needs hi > v + eps; conservative
+            case Pred.Ge   => hi > v
+            case Pred.EqOp => lo <= v && v < hi
+          }
+          case _ => true
+        }
+      }
+  }
 }
 
 /** Driver-side metadata for one physical partition (`__part` value).
@@ -67,36 +112,8 @@ final class PartitionedIndex(val name: String,
   def totalRows: Long = leaves.map(_.size).sum
 
   /** Partitions a query with this template and vector must visit. */
-  def route(template: Template, qvec: Array[Float]): Seq[Int] = routing match {
-    case Routing.All => leaves.map(_.partId).toSeq
-    case Routing.ByQDTree(tree, centroids) =>
-      val qc = centroids.fold(Seq.empty[Int]) { c =>
-        VectorOps.nearestN(qvec, c.global, c.m, IVF.AssignMetric).toSeq
-      }
-      tree.routePreds(template.preds, qc)
-    case Routing.ByRange(attr, bounds) =>
-      leaves.map(_.partId).toSeq.filter { p =>
-        val (lo, hi) = bounds(p)
-        rangeMayMatch(template, attr, lo, hi)
-      }
-  }
-
-  /** Can a [lo, hi) bucket contain tuples satisfying the template's
-    * predicates over the partitioning attribute? Predicates on other
-    * attributes cannot prune range partitions (the paper's point about
-    * Strategy C and non-partitioning attributes).
-    */
-  private def rangeMayMatch(template: Template, attr: String, lo: Double, hi: Double): Boolean =
-    template.preds.forall {
-      case Pred.NumCmp(a, op, v) if a == attr => op match {
-        case Pred.Lt   => lo < v
-        case Pred.Le   => lo <= v
-        case Pred.Gt   => hi > v       // hi is exclusive: some x < hi with x > v needs hi > v + eps; conservative
-        case Pred.Ge   => hi > v
-        case Pred.EqOp => lo <= v && v < hi
-      }
-      case _ => true
-    }
+  def route(template: Template, qvec: Array[Float]): Seq[Int] =
+    routing.route(template.preds, Some(qvec), numPartitions)
 
   def unpersist(): Unit = {
     cells.unpersist()

@@ -36,12 +36,7 @@ final class QDTree(val preds: Array[Pred],
                    val leaves: Array[QDLeaf],
                    val leafOfTuple: Array[Int]) extends Serializable {
 
-  private val predIndex: Map[Pred, Int] = preds.zipWithIndex.toMap
-
   def numLeaves: Int = leaves.length
-
-  /** Index of an extracted predicate, if the tree knows it. */
-  def indexOf(p: Pred): Option[Int] = predIndex.get(p)
 
   /** Leaves that must be accessed for a query (§4.1.3): every clause must be
     * satisfiable in the leaf per its semantic description. Clauses referring
@@ -49,21 +44,6 @@ final class QDTree(val preds: Array[Pred],
     */
   def route(query: RoutedQuery): Seq[Int] =
     leaves.iterator.filter(l => QDTree.satisfiable(l.semantic, query.clauses)).map(_.leafId).toSeq
-
-  /** Route a conjunction of raw predicates (unseen predicates are ignored,
-    * i.e. treated as satisfiable everywhere — the safe direction).
-    */
-  def routePreds(conjunction: Seq[Pred], centroidSet: Seq[Int] = Nil): Seq[Int] = {
-    val attrClauses = conjunction.flatMap(p => indexOf(p).map(i => Seq(i)))
-    val centroidClause =
-      if (centroidSet.isEmpty) Nil
-      else {
-        val idxs = centroidSet.flatMap(c => indexOf(Pred.CentroidEq(c)))
-        // If none of the centroid predicates were extracted, skip the clause.
-        if (idxs.isEmpty) Nil else Seq(idxs)
-      }
-    route(RoutedQuery(attrClauses ++ centroidClause, 1L))
-  }
 
   /** Eq. (1): total tuples accessed to evaluate the workload on this layout. */
   def cost(workload: Seq[RoutedQuery]): Long =
@@ -75,9 +55,10 @@ final class QDTree(val preds: Array[Pred],
 object QDTree {
 
   /** Can a partition with semantic description `sem` hold a tuple meeting
-    * every clause? An empty clause constrains nothing.
+    * every clause? An empty clause constrains nothing. The one pruning rule:
+    * tree construction, workload cost and `Routing.ByQDTree` all use it.
     */
-  private def satisfiable(sem: BitSet, clauses: Seq[Seq[Int]]): Boolean =
+  def satisfiable(sem: BitSet, clauses: Seq[Seq[Int]]): Boolean =
     clauses.forall(cl => cl.isEmpty || cl.exists(sem.contains))
 
   /** Build a balanced qd-tree.

@@ -8,8 +8,8 @@ import scala.util.Random
   *
   * Driver-side by design: at reproduction scale (≤200k × d≤48) training on a
   * bounded sample is orders of magnitude cheaper than a distributed
-  * implementation and keeps results deterministic in `seed`. Assignment of
-  * the *full* dataset to centroids happens distributed, in the index builder.
+  * implementation and keeps results deterministic in `seed`. The index
+  * builder assigns the *full* collected dataset to centroids on the driver too.
   */
 object KMeans {
 

@@ -218,15 +218,9 @@ object Experiments {
       // t0-trained index and the t0-tuned nprobe values).
       val gtS = if (s == 0) gt0
                 else BatchEngine.run(flatIdx, w, EngineOptions(k = cfg.k, exhaustive = true)).results
-      // Best of two timed passes per cell to damp scheduler/GC noise.
-      def best(run: => EngineRun): EngineRun = {
-        val first = run
-        val second = run
-        if (second.metrics.wallMillis < first.metrics.wallMillis) second else first
-      }
-      val hr = best(BatchEngine.run(hqiIdx, w,
+      val hr = Harness.bestOfTwo(BatchEngine.run(hqiIdx, w,
         Harness.strategyOpts("HQI", cfg.k).copy(nprobe = hqiTune.nprobe)))
-      val pr = best(BatchEngine.run(flatIdx, w,
+      val pr = Harness.bestOfTwo(BatchEngine.run(flatIdx, w,
         Harness.strategyOpts("PreFilter", cfg.k).copy(nprobe = preTune.nprobe)))
       qps(("HQI", s)) = w.size * 1000.0 / math.max(1L, hr.metrics.wallMillis)
       qps(("PreFilter", s)) = w.size * 1000.0 / math.max(1L, pr.metrics.wallMillis)

@@ -37,9 +37,10 @@ class DataSourceSpec extends SparkSpec {
     assert(meta.dim == 8)
     assert(meta.metricName == "IP")
     assert(meta.attrs.map(_.name) == KGData.AttrCols)
-    assert(meta.preds.nonEmpty)
     assert(meta.leaves.size == hqi.numPartitions)
-    assert(meta.leaves.forall(_.semantic.isDefined))
+    val Routing.ByQDTree(preds, semantics, _) = meta.routing: @unchecked
+    assert(preds.nonEmpty)
+    assert(semantics.length == meta.leaves.size)
   }
 
   test("schema inference matches the index layout schema") {
@@ -73,15 +74,35 @@ class DataSourceSpec extends SparkSpec {
   }
 
   test("pushed filters prune partitions via semantic descriptions") {
-    val t2 = Templates.relatedQS(1) // artist template: selective
     val full = load()
-    val filtered = full.filter(Pred.and(t2.preds))
-    val prunedParts = filtered.rdd.getNumPartitions
-    assert(prunedParts <= hqi.numPartitions)
-    // The qd-tree was trained on this workload; T2's routing must match.
-    val routedParts = hqi.route(t2, history.queries.head.vec).size
-    assert(prunedParts == routedParts,
-           s"V2 pruning ($prunedParts) should equal qd-tree routing ($routedParts)")
+    for (t <- Templates.relatedQS) {
+      val prunedParts = full.filter(Pred.and(t.preds)).rdd.getNumPartitions
+      // The qd-tree was trained on this workload; pruning must equal routing.
+      val routedParts = hqi.route(t, history.queries.head.vec).size
+      assert(prunedParts == routedParts,
+             s"${t.name}: V2 pruning ($prunedParts) should equal qd-tree routing ($routedParts)")
+    }
+    // The selective artist template (T2) skips some partitions.
+    assert(full.filter(Pred.and(Templates.relatedQS(1).preds)).rdd.getNumPartitions < hqi.numPartitions)
+  }
+
+  test("a store of a centroid-routed (m > 0) index prunes by attributes alone") {
+    val idx = IndexBuilder.buildHQI(db, KGData.AttrCols, Metric.IP, history,
+      HQIOptions(minSize = 256, m = 3, numGlobalCentroids = 16))
+    val dir = Files.createTempDirectory("hqi-centroid").toString
+    HQIStore.write(idx, dir)
+    val Routing.ByQDTree(preds, _, centroids) = HQIStore.readMeta(dir).routing: @unchecked
+    assert(centroids.isDefined && preds.exists(_.isInstanceOf[Pred.CentroidEq]))
+    val stored = spark.read.format("hqi").load(dir)
+    for (t <- Templates.relatedQS) {
+      val filtered = stored.filter(Pred.and(t.preds))
+      val want = db.filter(Pred.and(t.preds)).count()
+      assert(filtered.count() == want, s"${t.name}: count differs from Catalyst's $want")
+      val attrOnly = idx.routing.route(t.preds, None, idx.numPartitions).size
+      assert(filtered.rdd.getNumPartitions == attrOnly,
+             s"${t.name}: V2 pruning should equal the attribute-only route ($attrOnly)")
+    }
+    idx.unpersist()
   }
 
   test("pruning never changes filter results (counts match the source of truth)") {
@@ -113,21 +134,25 @@ class DataSourceSpec extends SparkSpec {
     HQIStore.write(hqi, dir)
     val leaf = HQIStore.readMeta(dir).leaves.maxBy(_.size)
     val file = Paths.get(dir, leaf.file)
-    Files.write(file, Files.readAllBytes(file).take((Files.size(file) / 2).toInt))
-    val e = intercept[Exception](spark.read.format("hqi").load(dir).count())
-    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
-    assert(causes.exists { c =>
-      c.isInstanceOf[IOException] && c.getMessage.contains(file.toString) &&
-        c.getMessage.contains(s"of ${leaf.size} rows")
-    }, causes.map(_.toString).mkString("\n"))
+    val bytes = Files.readAllBytes(file)
+    // Cuts inside the rows, and inside or before the 4-byte row-count header.
+    for (cut <- Seq(bytes.length / 2, 0, 3)) {
+      Files.write(file, bytes.take(cut))
+      val e = intercept[Exception](spark.read.format("hqi").load(dir).count())
+      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists { c =>
+        val msg = Option(c.getMessage).getOrElse("")
+        c.isInstanceOf[IOException] && msg.contains(file.toString) &&
+          (cut < 4 || msg.contains(s"of ${leaf.size} rows"))
+      }, s"cut at $cut bytes:\n" + causes.map(_.toString).mkString("\n"))
+    }
   }
 
   test("a flat index (no qd-tree) stores no semantics and never prunes") {
     val flat = IndexBuilder.buildFlat(db, KGData.AttrCols, Metric.IP)
     val dir = Files.createTempDirectory("hqi-flat").toString
     HQIStore.write(flat, dir)
-    val meta = HQIStore.readMeta(dir)
-    assert(meta.leaves.forall(_.semantic.isEmpty))
+    assert(HQIStore.readMeta(dir).routing == Routing.All)
     val df = spark.read.format("hqi").load(dir)
     assert(df.filter(col("etype") === "person").rdd.getNumPartitions == 1)
     assert(df.count() == 3000)

@@ -17,10 +17,10 @@ class HQISpec extends SparkSpec {
   test("m > 0 builds centroid predicates and a global centroid table") {
     val idx = IndexBuilder.buildHQI(db(this), KGData.AttrCols, Metric.IP, workload,
       HQIOptions(minSize = 256, m = 5, numGlobalCentroids = 16))
-    val Routing.ByQDTree(tree, centroids) = idx.routing: @unchecked
+    val Routing.ByQDTree(preds, _, centroids) = idx.routing: @unchecked
     assert(centroids.isDefined)
     assert(centroids.get.global.length == 16)
-    assert(tree.preds.exists(_.describe.startsWith("__centroid")))
+    assert(preds.exists(_.describe.startsWith("__centroid")))
     idx.unpersist()
   }
 

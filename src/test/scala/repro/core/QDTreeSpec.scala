@@ -4,6 +4,7 @@ import org.roaringbitmap.RoaringBitmap
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.core.engine.Routing
 import repro.core.qdtree._
 
 /** Pure driver-side qd-tree invariants: the tree is built from predicate
@@ -145,7 +146,8 @@ class QDTreeSpec extends AnyFunSuite {
     val (preds, support) = randomInstance(n, Seq(0.5), 8)
     val tree = QDTree.build(n, preds, support, singletonShapes(Seq(0)), minSize = 32)
     val unknown = Pred.StrEq("nope", "x")
-    assert(tree.routePreds(Seq(unknown)).toSet == tree.leaves.map(_.leafId).toSet)
+    val routing = Routing.ByQDTree(tree.preds, tree.leaves.map(_.semantic))
+    assert(routing.route(Seq(unknown), None, tree.numLeaves).toSet == tree.leaves.map(_.leafId).toSet)
   }
 
   test("route with empty constraints reaches every leaf") {
