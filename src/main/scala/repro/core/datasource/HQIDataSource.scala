@@ -15,6 +15,7 @@ import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.unsafe.types.UTF8String
 
+import repro.core.engine.IndexBuilder
 import repro.core.qdtree.Pred
 
 /** DataSourceV2 reader for persisted HQI indexes (`format("hqi")`).
@@ -57,8 +58,8 @@ object HQIDataSource {
       Seq(StructField("id", LongType, nullable = false),
           StructField("vec", ArrayType(FloatType, containsNull = false), nullable = false)) ++
       attrFields ++
-      Seq(StructField("__part", IntegerType, nullable = false),
-          StructField("__cluster", IntegerType, nullable = false)))
+      Seq(StructField(IndexBuilder.PartCol, IntegerType, nullable = false),
+          StructField(IndexBuilder.ClusterCol, IntegerType, nullable = false)))
   }
 
   /** Translate a pushed source filter to a predicate, if it has one; routing

@@ -109,12 +109,12 @@ object BatchEngine {
     var routedTuples = 0L
     val probes = mutable.HashMap.empty[Long, mutable.ArrayBuilder.ofInt]
     // Routes are per template, computed once here, unless they depend on the
-    // query vector (centroid routing, m > 0).
-    val allParts = index.leaves.map(_.partId).toSeq
-    val perQuery = !opts.exhaustive && index.routing.perQuery
-    val templateRoutes: Map[Int, Seq[Int]] = workload.templates.map { t =>
-      t.id -> (if (opts.exhaustive) allParts else index.routing.route(t.preds, None, index.numPartitions))
-    }.toMap
+    // query vector (centroid routing, m > 0). An exhaustive pass visits every
+    // partition.
+    val routing = if (opts.exhaustive) Routing.All else index.routing
+    val perQuery = routing.perQuery
+    val templateRoutes: Map[Int, Seq[Int]] =
+      workload.templates.map(t => t.id -> routing.route(t.preds, None, index.numPartitions)).toMap
 
     // Per-query probe selection. nprobe counts cells *globally across the
     // query's routed partitions*, ranked by centroid distance — per-partition

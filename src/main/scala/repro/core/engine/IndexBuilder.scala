@@ -8,7 +8,7 @@ import scala.collection.mutable
 
 import repro.core.ivf.IVF
 import repro.core.qdtree.{Pred, QDTree, RoutedQuery}
-import repro.core.vec.{KMeans, Metric, VectorOps}
+import repro.core.vec.{KMeans, Metric}
 import repro.workload.Workload
 
 /** Options for workload-aware index construction (§4.1).
@@ -156,50 +156,32 @@ object IndexBuilder {
     val n = ids.length
 
     // §4.1.1: global centroid attribute t.c (only when centroid routing is on).
-    val globalCentroids: Option[Array[Array[Float]]] =
-      if (opts.m > 0) Some(KMeans.train(vecs, opts.numGlobalCentroids, IVF.AssignMetric, seed = opts.kmeansSeed))
+    val centroidRouting: Option[Routing.CentroidRouting] =
+      if (opts.m > 0)
+        Some(Routing.CentroidRouting(opts.m,
+          KMeans.train(vecs, opts.numGlobalCentroids, IVF.AssignMetric, seed = opts.kmeansSeed)))
       else None
     val centroidPreds: Array[Pred] =
-      globalCentroids.fold(Array.empty[Pred])(c => Array.tabulate(c.length)(Pred.CentroidEq(_)))
+      centroidRouting.fold(Array.empty[Pred])(c => Array.tabulate(c.global.length)(Pred.CentroidEq(_)))
     val preds: Array[Pred] = attrPreds ++ centroidPreds
 
     // Centroid predicate supports come from the driver-side assignment.
     val centroidSupport = Array.fill(centroidPreds.length)(new RoaringBitmap())
-    globalCentroids.foreach { c =>
+    centroidRouting.foreach { c =>
       var t = 0
-      while (t < n) { centroidSupport(IVF.assign(vecs(t), c)).add(t); t += 1 }
+      while (t < n) { centroidSupport(IVF.assign(vecs(t), c.global)).add(t); t += 1 }
     }
     val support: Array[RoaringBitmap] = attrSupport ++ centroidSupport
 
-    val predIdx: Map[Pred, Int] = preds.zipWithIndex.toMap
-
-    // Deduplicate the workload into weighted routed shapes.
-    val shapes: Seq[RoutedQuery] = {
-      val templatePreds: Map[Int, Seq[Seq[Int]]] =
-        history.templates.map(t => t.id -> t.preds.map(p => Seq(predIdx(p)))).toMap
-      globalCentroids match {
-        case None =>
-          history.queries.groupBy(_.templateId).map { case (tid, qs) =>
-            RoutedQuery(templatePreds(tid), qs.size.toLong)
-          }.toSeq
-        case Some(gc) =>
-          history.queries
-            .map { q =>
-              val qc = VectorOps.nearestN(q.vec, gc, opts.m, IVF.AssignMetric).toSeq.sorted
-              (q.templateId, qc)
-            }
-            .groupBy(identity)
-            .map { case ((tid, qc), qs) =>
-              val centroidClause = qc.map(c => predIdx(Pred.CentroidEq(c)))
-              RoutedQuery(templatePreds(tid) :+ centroidClause, qs.size.toLong)
-            }.toSeq
-      }
-    }
+    // The workload model reads each history query as clauses through the
+    // routing that will serve it, deduplicated into weighted shapes.
+    val routing = Routing.ByQDTree(preds, Array.empty, centroidRouting)
+    val shapes: Seq[RoutedQuery] = history.queries
+      .groupBy(q => routing.clauses(history.templateById(q.templateId).preds, Some(q.vec)))
+      .map { case (clauses, qs) => RoutedQuery(clauses, qs.size.toLong) }.toSeq
 
     val tree = QDTree.build(n, preds, support, shapes, opts.minSize)
-    val centroidRouting = globalCentroids.map(Routing.CentroidRouting(opts.m, _))
-    val routing = Routing.ByQDTree(tree.preds, tree.leaves.map(_.semantic), centroidRouting)
-    build("HQI", db, attrCols, metric, routing,
+    build("HQI", db, attrCols, metric, routing.copy(semantics = tree.leaves.map(_.semantic)),
           ids, vecs, tree.leafOfTuple, tree.numLeaves, opts.kmeansSeed, t0)
   }
 }

@@ -38,13 +38,21 @@ object Routing {
                             centroids: Option[CentroidRouting] = None) extends Routing {
     @transient private lazy val predIndex: Map[Pred, Int] = preds.zipWithIndex.toMap
     override def perQuery: Boolean = centroids.isDefined
-    def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int] = {
-      val attrClauses = conjunction.flatMap(predIndex.get).map(Seq(_))
-      // The centroid constraint is one disjunctive clause; an empty clause
-      // (no query vector, or no centroid predicate extracted) constrains nothing.
+    /** A query as clauses over `preds`, the one reading shared by routing
+      * and the qd-tree build's workload model: a singleton clause per known
+      * predicate of `conjunction`, plus, with centroid routing and a query
+      * vector, the disjunction of its `m` nearest global centroids. That
+      * clause is empty, and constrains nothing, when no centroid predicate
+      * was extracted.
+      */
+    def clauses(conjunction: Seq[Pred], qvec: Option[Array[Float]]): Seq[Seq[Int]] = {
       val centroidClause = for (c <- centroids.toSeq; v <- qvec.toSeq) yield
         VectorOps.nearestN(v, c.global, c.m, IVF.AssignMetric).toSeq.flatMap(i => predIndex.get(Pred.CentroidEq(i)))
-      semantics.indices.filter(l => QDTree.satisfiable(semantics(l), attrClauses ++ centroidClause))
+      conjunction.flatMap(predIndex.get).map(Seq(_)) ++ centroidClause
+    }
+    def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int] = {
+      val cs = clauses(conjunction, qvec)
+      semantics.indices.filter(l => QDTree.satisfiable(semantics(l), cs))
     }
   }
   /** The §4.1.1 centroid constraint: each query is routed with its `m`

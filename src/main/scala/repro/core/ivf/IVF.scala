@@ -20,14 +20,12 @@ object IVF {
   val AssignMetric: Metric = Metric.L2
 
   /** Train √n cells (the paper's default) for one partition's vectors. */
-  def train(vectors: Array[Array[Float]], seed: Long,
-            cellsOverride: Option[Int] = None): Array[Array[Float]] = {
-    val cells = cellsOverride.getOrElse(KMeans.sqrtCells(vectors.length.toLong))
+  def train(vectors: Array[Array[Float]], seed: Long): Array[Array[Float]] =
     // Train on the full vector set (no subsampling): single-index training
     // then scales as O(n·√n) versus O(n·√(n/p)) for a p-way partitioned
     // index — the asymmetry behind the paper's Table 4.
-    KMeans.train(vectors, cells, AssignMetric, seed = seed, sampleCap = Int.MaxValue)
-  }
+    KMeans.train(vectors, KMeans.sqrtCells(vectors.length.toLong), AssignMetric, seed = seed,
+                 sampleCap = Int.MaxValue)
 
   /** Cell assignment for a single vector (used identically at build time and
     * when computing probe lists, so layout and probing agree).

@@ -38,13 +38,6 @@ final class QDTree(val preds: Array[Pred],
 
   def numLeaves: Int = leaves.length
 
-  /** Leaves that must be accessed for a query (§4.1.3): every clause must be
-    * satisfiable in the leaf per its semantic description. Clauses referring
-    * only to predicates unknown to the tree are conservatively satisfiable.
-    */
-  def route(query: RoutedQuery): Seq[Int] =
-    leaves.iterator.filter(l => QDTree.satisfiable(l.semantic, query.clauses)).map(_.leafId).toSeq
-
   /** Eq. (1): total tuples accessed to evaluate the workload on this layout. */
   def cost(workload: Seq[RoutedQuery]): Long =
     workload.iterator.map { q =>
@@ -56,7 +49,8 @@ object QDTree {
 
   /** Can a partition with semantic description `sem` hold a tuple meeting
     * every clause? An empty clause constrains nothing. The one pruning rule:
-    * tree construction, workload cost and `Routing.ByQDTree` all use it.
+    * tree construction, workload cost and `Routing.ByQDTree` all use it;
+    * `Routing.ByQDTree.clauses` is the one reading of a query as clauses.
     */
   def satisfiable(sem: BitSet, clauses: Seq[Seq[Int]]): Boolean =
     clauses.forall(cl => cl.isEmpty || cl.exists(sem.contains))

@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 
 /** Deterministic synthetic vector data.
@@ -33,19 +32,5 @@ object VectorData {
     var i = 0
     while (i < v.length) { v(i) = center(i) + (rnd.nextGaussian() * spread).toFloat; i += 1 }
     v
-  }
-
-  /** Gaussian-mixture vector DataFrame: `id BIGINT, vec ARRAY<FLOAT>,
-    * cluster INT` with `n` rows, `nClusters` components, noise `spread`.
-    */
-  def mixture(spark: SparkSession, n: Long, d: Int, nClusters: Int,
-              spread: Double = 0.25, seed: Long = 11): DataFrame = {
-    import spark.implicits._
-    val centers = makeCenters(nClusters, d, seed)
-    spark.range(n).map { id =>
-      val rnd = new Random(mix(seed, id))
-      val c = rnd.nextInt(centers.length)
-      (id, sampleNear(centers(c), spread, rnd), c)
-    }.toDF("id", "vec", "cluster")
   }
 }

