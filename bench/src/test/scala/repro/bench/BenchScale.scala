@@ -1,20 +1,11 @@
 package repro.bench
 
-import repro.harness.{Experiments, Harness}
+import repro.harness.Experiments
+import repro.jobs.JobSession
 
-/** Bench-wide scale knobs, overridable from the environment so the suite can
-  * be smoke-tested quickly (e.g. REPRO_BENCH_N=20000 sbt "bench/test").
+/** Bench-wide scale: the jobs' scale, so the suite can be smoke-tested
+  * quickly from the environment (e.g. REPRO_BENCH_N=20000 sbt "bench/test").
   */
 object BenchScale {
-  val n: Long = sys.env.getOrElse("REPRO_BENCH_N", "100000").toLong
-  val d: Int = sys.env.getOrElse("REPRO_BENCH_D", "32").toInt
-  val nqRelated: Int = sys.env.getOrElse("REPRO_BENCH_NQ", "6000").toInt
-
-  def scale: Experiments.Scale = Experiments.Scale(
-    n = n, d = d, nqRelated = nqRelated,
-    nqLp = math.max(100, nqRelated / 2),
-    nqBigann = math.max(20, nqRelated / 20),
-    nqSift = math.max(5, nqRelated / 200))
-
-  def cfg: Harness.Config = Harness.Config(minSize = math.max(512, (n / 64).toInt))
+  val scale: Experiments.Scale = JobSession.scale()
 }

@@ -9,8 +9,8 @@ import repro.workload.Templates
   */
 class Table1Bench extends SparkSpec {
 
-  private lazy val result = Experiments.table1(spark, n = BenchScale.n, d = 16,
-                                               queriesPerSplit = BenchScale.nqRelated)
+  private lazy val result = Experiments.table1(spark, n = BenchScale.scale.n,
+                                               queriesPerSplit = BenchScale.scale.nqRelated)
 
   test("Table 1: print measured vs paper") {
     println("\n== Table 1: query workload characteristics (measured vs paper) ==")

@@ -10,7 +10,7 @@ import repro.harness.Experiments
 class Table3and4Bench extends SparkSpec {
 
   private lazy val result: Experiments.Table34Result =
-    Experiments.tables3and4(spark, BenchScale.scale, BenchScale.cfg)
+    Experiments.tables3and4(spark, BenchScale.scale)
 
   private def bench(name: String) = result.benches.find(_.dataset == name).get
 

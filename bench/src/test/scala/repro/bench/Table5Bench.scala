@@ -15,9 +15,7 @@ import repro.harness.Experiments
 class Table5Bench extends SparkSpec {
 
   private lazy val result: Experiments.Table5Result =
-    Experiments.table5(spark, n = BenchScale.n, d = BenchScale.d,
-                       queriesPerSplit = math.max(300, BenchScale.nqRelated * 3 / 4),
-                       cfg = BenchScale.cfg)
+    Experiments.table5(spark, BenchScale.scale)
 
   test("Table 5: print measured vs paper") {
     println("\n== Table 5: QPS by split, HQI trained on t0 only (measured vs paper) ==")

@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.harness.{Experiments, Harness}
+import repro.harness.Experiments
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object JobSession {
@@ -14,20 +14,15 @@ object JobSession {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-  /** Bench scale, overridable via REPRO_BENCH_N / REPRO_BENCH_D / _NQ. */
-  def scale(): Experiments.Scale = {
-    val nq = sys.env.getOrElse("REPRO_BENCH_NQ", "6000").toInt
+  /** Bench scale for the jobs and the bench suites, overridable via
+    * REPRO_BENCH_N / REPRO_BENCH_D / REPRO_BENCH_NQ. The only reader of
+    * these variables.
+    */
+  def scale(): Experiments.Scale =
     Experiments.Scale(
       n = sys.env.getOrElse("REPRO_BENCH_N", "100000").toLong,
       d = sys.env.getOrElse("REPRO_BENCH_D", "32").toInt,
-      nqRelated = nq, nqLp = math.max(100, nq / 2),
-      nqBigann = math.max(20, nq / 20), nqSift = math.max(5, nq / 200))
-  }
-
-  def cfg(): Harness.Config = {
-    val n = sys.env.getOrElse("REPRO_BENCH_N", "100000").toLong
-    Harness.Config(minSize = math.max(512, (n / 64).toInt))
-  }
+      nqRelated = sys.env.getOrElse("REPRO_BENCH_NQ", "6000").toInt)
 }
 
 /** Table 1: RelatedQS template mix per temporal split + selectivities. */
@@ -55,7 +50,7 @@ object Table3Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.create("hqi-table3")
     val only = if (args.isEmpty) None else Some(args.toSet)
-    val res = Experiments.tables3and4(spark, JobSession.scale(), JobSession.cfg(), only = only)
+    val res = Experiments.tables3and4(spark, JobSession.scale(), only = only)
     println("== Table 3: slowdown vs HQI @ recall >= 0.8 ==")
     println(res.table3)
     println()
@@ -70,8 +65,7 @@ object Table5Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.create("hqi-table5")
     println("== Table 5: QPS across temporal splits (HQI trained on t0) ==")
-    println(Experiments.table5(spark, n = JobSession.scale().n, d = JobSession.scale().d,
-      cfg = JobSession.cfg()).rendered)
+    println(Experiments.table5(spark, JobSession.scale()).rendered)
     spark.stop()
   }
 }

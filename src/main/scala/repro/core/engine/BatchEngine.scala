@@ -76,11 +76,7 @@ object BatchEngine {
                                     templates: Map[Int, Seq[Pred]],
                                     probes: Map[Long, Array[Int]],
                                     metric: Metric,
-                                    heapK: Int,
-                                    vectorBatching: Boolean,
-                                    attrBatching: Boolean,
-                                    postFilter: Boolean,
-                                    eagerBitmap: Boolean)
+                                    opts: EngineOptions)
 
   /** One task's output: its per-query heaps flattened into parallel arrays of
     * (query index, score, id, whether the id satisfies the query's template),
@@ -168,8 +164,7 @@ object BatchEngine {
       qTids, qVecs,
       workload.templates.map(t => t.id -> t.preds).toMap,
       probes.iterator.map { case (k, b) => k -> b.result() }.toMap,
-      index.metric, opts.heapK,
-      opts.vectorBatching, opts.attrBatching, opts.postFilter, opts.eagerBitmap)
+      index.metric, opts)
     val planB = sc.broadcast(plan)
 
     // ---- Distributed scan (Algorithm 3 per Spark partition), one job. ----
@@ -271,7 +266,7 @@ object BatchEngine {
     // Strategy B's full-dataset bitmap construction: every template's filter
     // over every local tuple, up front.
     val eagerMasks: Map[(Long, Int), Array[Boolean]] =
-      if (!plan.eagerBitmap) Map.empty
+      if (!plan.opts.eagerBitmap) Map.empty
       else (for {
         (ck, cell) <- cells.iterator
         (tid, preds) <- compiled.iterator
@@ -279,7 +274,7 @@ object BatchEngine {
 
     val heaps = new Array[TopK](plan.queryTids.length)
     def heapOf(qi: Int): TopK = {
-      if (heaps(qi) == null) heaps(qi) = new TopK(plan.heapK)
+      if (heaps(qi) == null) heaps(qi) = new TopK(plan.opts.heapK)
       heaps(qi)
     }
     val scorer = new BatchScorer
@@ -291,9 +286,9 @@ object BatchEngine {
       for ((tid, qs) <- byTemplate) {
         tuplesScanned += block.n.toLong * qs.length
         val mask: Array[Boolean] =
-          if (plan.postFilter) null
-          else if (plan.eagerBitmap) eagerMasks((ck, tid))
-          else if (plan.attrBatching) evalFilter(compiled(tid), cell)
+          if (plan.opts.postFilter) null
+          else if (plan.opts.eagerBitmap) eagerMasks((ck, tid))
+          else if (plan.opts.attrBatching) evalFilter(compiled(tid), cell)
           else {
             // No attribute batching: each query pays its own filter pass.
             var m: Array[Boolean] = null
@@ -315,7 +310,7 @@ object BatchEngine {
           // Algorithm 3 scores the whole query group with one kernel call;
           // the per-query baseline (Strategies B/C/D) calls it once per
           // query, sharing no score pass across queries.
-          val batches = if (plan.vectorBatching) Iterator.single(qs) else qs.iterator.map(Array(_))
+          val batches = if (plan.opts.vectorBatching) Iterator.single(qs) else qs.iterator.map(Array(_))
           for (batch <- batches) {
             val flat = scorer.scores(batch.map(plan.queryVecs(_)), cand, plan.metric)
             var a = 0
@@ -326,8 +321,9 @@ object BatchEngine {
     }
 
     // Heaps go out unsorted: the driver merges them again. PostFilter tags
-    // each survivor with its template match for the driver; under pushdown
-    // every heap entry already passed the filter.
+    // each survivor with its template match for the driver, one counted
+    // filter check per entry; under pushdown every heap entry already passed
+    // the filter.
     lazy val attrsById = {
       val m = mutable.LongMap.empty[Array[Any]]
       for (cell <- cells.valuesIterator; j <- 0 until cell.block.n) m(cell.block.ids(j)) = cell.attrs(j)
@@ -339,7 +335,8 @@ object BatchEngine {
     val matched = new mutable.ArrayBuilder.ofBoolean
     for (qi <- heaps.indices if heaps(qi) != null; h = heaps(qi); i <- 0 until h.size) {
       qis += qi; scores += h.scoreAt(i); ids += h.idAt(i)
-      matched += !plan.postFilter || matches(compiled(plan.queryTids(qi)), attrsById(h.idAt(i)))
+      if (plan.opts.postFilter) filterRows += 1
+      matched += !plan.opts.postFilter || matches(compiled(plan.queryTids(qi)), attrsById(h.idAt(i)))
     }
     TaskResult(qis.result(), scores.result(), ids.result(), matched.result(),
                tuplesScanned, distComps, filterRows)

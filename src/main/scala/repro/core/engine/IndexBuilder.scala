@@ -18,12 +18,10 @@ import repro.workload.Workload
   *                          as a routing constraint (0 disables, paper's best)
   * @param numGlobalCentroids |C| for the §4.1.1 centroid attribute (only used
   *                          when m > 0)
-  * @param kmeansSeed        seed for every k-means invocation
   */
 final case class HQIOptions(minSize: Int = 1024,
                             m: Int = 0,
-                            numGlobalCentroids: Int = 64,
-                            kmeansSeed: Long = 7)
+                            numGlobalCentroids: Int = 64)
 
 /** Builders producing [[PartitionedIndex]] layouts for each strategy.
   *
@@ -41,6 +39,9 @@ object IndexBuilder {
   /** Columns every index layout appends to the input schema. */
   val PartCol = "__part"
   val ClusterCol = "__cluster"
+
+  /** Base seed of the k-means in every build (`buildFlat`'s default). */
+  val Seed = 7L
 
   private def now(): Long = System.currentTimeMillis()
 
@@ -103,7 +104,7 @@ object IndexBuilder {
     * scale as O(n√n), Table 4).
     */
   def buildFlat(db: DataFrame, attrCols: Seq[String], metric: Metric,
-                name: String = "PreFilter", seed: Long = 7): PartitionedIndex = {
+                name: String = "PreFilter", seed: Long = Seed): PartitionedIndex = {
     val t0 = now()
     val (ids, vecs) = collectVectors(db)((_, _) => ())
     build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1, seed, t0)
@@ -113,7 +114,7 @@ object IndexBuilder {
     * (√|Pᵢ| cells) per partition. Rows with no value go to the first bucket.
     */
   def buildRange(db: DataFrame, attrCols: Seq[String], metric: Metric,
-                 rangeAttr: String, numParts: Int, seed: Long = 7): PartitionedIndex = {
+                 rangeAttr: String, numParts: Int): PartitionedIndex = {
     val t0 = now()
     val probs = (1 until numParts).map(_.toDouble / numParts).toArray
     val cuts = db.stat.approxQuantile(rangeAttr, probs, 0.001)
@@ -126,7 +127,7 @@ object IndexBuilder {
     val parts = new mutable.ArrayBuilder.ofInt
     val (ids, vecs) = collectVectors(db, Seq(coalesce(bucket(col(rangeAttr)), lit(0))))((_, r) => parts += r.getInt(2))
     build("Range", db, attrCols, metric, Routing.ByRange(rangeAttr, edges.zip(edges.tail)),
-          ids, vecs, parts.result(), numParts, seed, t0)
+          ids, vecs, parts.result(), numParts, Seed, t0)
   }
 
   /** HQI (§4): balanced qd-tree over the historical workload's predicates
@@ -137,7 +138,7 @@ object IndexBuilder {
   def buildHQI(db: DataFrame, attrCols: Seq[String], metric: Metric,
                history: Workload, opts: HQIOptions = HQIOptions()): PartitionedIndex = {
     if (history.queries.isEmpty)
-      return buildFlat(db, attrCols, metric, name = "HQI", seed = opts.kmeansSeed)
+      return buildFlat(db, attrCols, metric, name = "HQI")
 
     val t0 = now()
     // Extract cut predicates from the workload, deduplicated by value.
@@ -159,7 +160,7 @@ object IndexBuilder {
     val centroidRouting: Option[Routing.CentroidRouting] =
       if (opts.m > 0)
         Some(Routing.CentroidRouting(opts.m,
-          KMeans.train(vecs, opts.numGlobalCentroids, IVF.AssignMetric, seed = opts.kmeansSeed)))
+          KMeans.train(vecs, opts.numGlobalCentroids, IVF.AssignMetric, seed = Seed)))
       else None
     val centroidPreds: Array[Pred] =
       centroidRouting.fold(Array.empty[Pred])(c => Array.tabulate(c.global.length)(Pred.CentroidEq(_)))
@@ -182,6 +183,6 @@ object IndexBuilder {
 
     val tree = QDTree.build(n, preds, support, shapes, opts.minSize)
     build("HQI", db, attrCols, metric, routing.copy(semantics = tree.leaves.map(_.semantic)),
-          ids, vecs, tree.leafOfTuple, tree.numLeaves, opts.kmeansSeed, t0)
+          ids, vecs, tree.leafOfTuple, tree.numLeaves, Seed, t0)
   }
 }

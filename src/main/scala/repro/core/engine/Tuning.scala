@@ -24,16 +24,21 @@ object Tuning {
 
   val DefaultGrid: Seq[Int] = Seq(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-  /** Tune nprobe per template for a pushdown-style strategy. `truth` must be
-    * exhaustive results for (at least) `sample`'s queries.
+  /** PostFilter's (nprobe, expansion) escalation. */
+  val PostFilterSteps: Seq[(Int, Int)] =
+    Seq((2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (128, 64), (256, 64))
+
+  /** Tune nprobe per template for a pushdown-style strategy over
+    * [[DefaultGrid]]. `truth` must be exhaustive results for (at least)
+    * `sample`'s queries.
     */
   def tuneNprobe(index: PartitionedIndex, sample: Workload,
                  truth: Map[Long, Array[(Long, Float)]],
                  target: Double = 0.8, k: Int = 10,
-                 grid: Seq[Int] = DefaultGrid,
                  base: EngineOptions = EngineOptions()): TuneResult = {
     val (assigned, achieved) =
-      escalate(index, sample, truth, target, k, grid.map(np => (np, base.postFilterExpansion)), base)
+      escalate(index, sample, truth, target, k,
+               DefaultGrid.map(np => (np, base.postFilterExpansion)), base)
     TuneResult(assigned.map { case (tid, (np, _)) => tid -> np }, base.postFilterExpansion, achieved)
   }
 
@@ -43,14 +48,11 @@ object Tuning {
     */
   def tunePostFilter(index: PartitionedIndex, sample: Workload,
                      truth: Map[Long, Array[(Long, Float)]],
-                     target: Double = 0.8, k: Int = 10,
-                     steps: Seq[(Int, Int)] = Seq((2, 2), (4, 4), (8, 8), (16, 16),
-                                                  (32, 32), (64, 64), (128, 64), (256, 64)))
-      : TuneResult = {
+                     target: Double = 0.8, k: Int = 10): TuneResult = {
     val (assigned, achieved) =
-      escalate(index, sample, truth, target, k, steps, EngineOptions(postFilter = true))
+      escalate(index, sample, truth, target, k, PostFilterSteps, EngineOptions(postFilter = true))
     // A single expansion applies engine-wide; take the max any template needs.
-    val exp = if (assigned.isEmpty) steps.last._2 else assigned.values.map(_._2).max
+    val exp = if (assigned.isEmpty) PostFilterSteps.last._2 else assigned.values.map(_._2).max
     TuneResult(assigned.map { case (tid, (np, _)) => tid -> np }, exp, achieved)
   }
 

@@ -13,13 +13,16 @@ import scala.util.Random
   */
 object KMeans {
 
-  /** Train `k` centroids with kmeans++-style seeding followed by `iters`
+  /** Lloyd iterations after seeding. */
+  val Iters = 10
+
+  /** Train `k` centroids with kmeans++-style seeding followed by [[Iters]]
     * Lloyd iterations. Empty clusters are re-seeded from the point furthest
     * from its centroid so exactly `min(k, distinct points)` non-degenerate
     * centroids come back.
     */
   def train(vectors: Array[Array[Float]], k: Int, metric: Metric,
-            iters: Int = 10, seed: Long = 42, sampleCap: Int = 50000): Array[Array[Float]] = {
+            seed: Long = 42, sampleCap: Int = 50000): Array[Array[Float]] = {
     require(vectors.nonEmpty, "cannot train k-means on an empty vector set")
     val rnd = new Random(seed)
     val data =
@@ -65,7 +68,7 @@ object KMeans {
 
     val assign = new Array[Int](data.length)
     var it = 0
-    while (it < iters) {
+    while (it < Iters) {
       var i = 0
       while (i < data.length) { assign(i) = VectorOps.nearest(data(i), centroids, metric); i += 1 }
       val sums = Array.ofDim[Double](kk, d)

@@ -14,9 +14,14 @@ import repro.workload._
   */
 object Experiments {
 
-  /** Scaled-down stand-in sizes (DESIGN.md §6). */
-  final case class Scale(n: Long = 100_000L, d: Int = 32, nqRelated: Int = 2000,
-                         nqLp: Int = 1000, nqBigann: Int = 100, nqSift: Int = 10)
+  /** Scaled-down stand-in sizes (DESIGN.md §6). The other datasets' query
+    * counts follow from RelatedQS's.
+    */
+  final case class Scale(n: Long = 100_000L, d: Int = 32, nqRelated: Int = 2000) {
+    def nqLp: Int = math.max(100, nqRelated / 2)
+    def nqBigann: Int = math.max(20, nqRelated / 20)
+    def nqSift: Int = math.max(5, nqRelated / 200)
+  }
 
   // ------------------------------------------------------------------ Table 1
 
@@ -27,9 +32,9 @@ object Experiments {
   private val paperSel = Seq("<0.005%", "<0.1%", "<0.1%", "<0.5%", "<0.5%",
                              "<1%", "2.5%", "30%", "58%", "60%")
 
-  def table1(spark: SparkSession, n: Long = 100_000L, d: Int = 16,
-             queriesPerSplit: Int = 2000): Table1Result = {
-    val db = KGData.entities(spark, n, d).cache()
+  def table1(spark: SparkSession, n: Long = 100_000L, queriesPerSplit: Int = 2000): Table1Result = {
+    // Table 1 reads only attributes; d = 16 keeps the vectors cheap.
+    val db = KGData.entities(spark, n, 16).cache()
     db.count()
     val splits = (0 to 3).map(s => Templates.relatedQSWorkload(db, s, queriesPerSplit))
     val rows = Templates.relatedQS.zipWithIndex.map { case (t, i) =>
@@ -78,7 +83,6 @@ object Experiments {
     * no history.
     */
   def datasetBenches(spark: SparkSession, scale: Scale = Scale(),
-                     cfg: Harness.Config = Harness.Config(), quiet: Boolean = false,
                      only: Option[Set[String]] = None): Seq[DatasetBench] = {
     def wanted(name: String) = only.forall(_.contains(name))
     val out = scala.collection.mutable.ArrayBuffer.empty[DatasetBench]
@@ -88,13 +92,13 @@ object Experiments {
       if (wanted("RelatedQS")) {
         val w = Templates.relatedQSWorkload(kg, 0, scale.nqRelated)
         out += Harness.benchDataset("RelatedQS", kg, KGData.AttrCols, Metric.IP,
-                                    w, history = w, rangeAttr = None, cfg, quiet)
+                                    w, history = w, rangeAttr = None)
       }
       if (wanted("LP")) {
         val w = Templates.lpWorkload(kg, scale.nqLp)
         out += Harness.benchDataset("LP", kg, KGData.AttrCols, Metric.IP,
                                     w, history = w.copy(queries = IndexedSeq.empty),
-                                    rangeAttr = None, cfg, quiet)
+                                    rangeAttr = None)
       }
       kg.unpersist()
     }
@@ -102,9 +106,9 @@ object Experiments {
     def bigannBench(name: String, d: Int, nq: Int, metric: Metric, seed: Long): Unit = {
       if (wanted(name)) {
         val db = Bigann.dataset(spark, scale.n, d, seed = seed).cache(); db.count()
-        val w = Bigann.workload(nq, d, cfg.k, metric, seed = seed)
+        val w = Bigann.workload(nq, d, Harness.K, metric, seed = seed)
         out += Harness.benchDataset(name, db, Bigann.AttrCols, metric,
-                                    w, history = w, rangeAttr = Some("a"), cfg, quiet)
+                                    w, history = w, rangeAttr = Some("a"))
         db.unpersist()
       }
     }
@@ -173,9 +177,8 @@ object Experiments {
   }
 
   def tables3and4(spark: SparkSession, scale: Scale = Scale(),
-                  cfg: Harness.Config = Harness.Config(),
                   only: Option[Set[String]] = None): Table34Result = {
-    val benches = datasetBenches(spark, scale, cfg, quiet = false, only)
+    val benches = datasetBenches(spark, scale, only)
     Table34Result(benches, renderTable3(benches), renderTable4(benches))
   }
 
@@ -186,30 +189,31 @@ object Experiments {
                                 recall: Map[(String, Int), Double],
                                 rendered: String)
 
-  /** HQI trained on t0 only, then each split t0..t3 evaluated on the frozen
+  /** HQI trained on t0 only, then each split t0..t3 (three quarters of
+    * `scale.nqRelated` queries each, at least 300) evaluated on the frozen
     * index; QPS normalized by HQI@t0 (paper Table 5).
     */
-  def table5(spark: SparkSession, n: Long = 100_000L, d: Int = 32,
-             queriesPerSplit: Int = 4500, cfg: Harness.Config = Harness.Config()): Table5Result = {
-    val kg = KGData.entities(spark, n, d).cache(); kg.count()
+  def table5(spark: SparkSession, scale: Scale): Table5Result = {
+    val kg = KGData.entities(spark, scale.n, scale.d).cache(); kg.count()
+    val queriesPerSplit = math.max(300, scale.nqRelated * 3 / 4)
     val splits = (0 to 3).map(s => Templates.relatedQSWorkload(kg, s, queriesPerSplit))
     val t0 = splits.head
 
     val hqiIdx = IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, t0,
-      HQIOptions(minSize = cfg.minSize, m = cfg.m))
+      HQIOptions(minSize = Harness.minSize(scale.n)))
     val flatIdx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
 
-    val gt0 = BatchEngine.run(flatIdx, t0, EngineOptions(k = cfg.k, exhaustive = true)).results
-    val sample = t0.sampledPerTemplate(cfg.tunePerTemplate)
+    val gt0 = BatchEngine.run(flatIdx, t0, EngineOptions(k = Harness.K, exhaustive = true)).results
+    val sample = t0.sampledPerTemplate(Harness.TunePerTemplate)
     val indexes = Seq("HQI" -> hqiIdx, "PreFilter" -> flatIdx)
-    val opts = indexes.map { case (s, idx) => s -> Harness.tuned(s, idx, sample, gt0, cfg) }.toMap
+    val opts = indexes.map { case (s, idx) => s -> Harness.tuned(s, idx, sample, gt0) }.toMap
 
     val measured = splits.zipWithIndex.flatMap { case (w, split) =>
       // Per-split exhaustive ground truth (splits t1..t3 are *unseen* by the
       // t0-trained index and the t0-tuned nprobe values).
       val gt = if (split == 0) gt0
-               else BatchEngine.run(flatIdx, w, EngineOptions(k = cfg.k, exhaustive = true)).results
-      indexes.map { case (s, idx) => (s, split) -> Harness.measure(s, idx, w, opts(s), gt, cfg) }
+               else BatchEngine.run(flatIdx, w, EngineOptions(k = Harness.K, exhaustive = true)).results
+      indexes.map { case (s, idx) => (s, split) -> Harness.measure(s, idx, w, opts(s), gt) }
     }.toMap
     val qps = measured.map { case (key, r) => key -> splits(key._2).size * 1000.0 / math.max(1L, r.runMillis) }
     val scanned = measured.map { case (key, r) => key -> r.tuplesScanned }

@@ -41,12 +41,19 @@ final case class DatasetBench(dataset: String, rows: Seq[StrategyRow]) {
   */
 object Harness {
 
-  final case class Config(k: Int = 10,
-                          targetRecall: Double = 0.8,
-                          tunePerTemplate: Int = 25,
-                          minSize: Int = 4096,
-                          rangeParts: Int = 16,
-                          m: Int = 0)
+  /** The evaluation protocol of §6.1, fixed for every table: top-10
+    * queries, per-template tuning to recall 0.8 on a 25-query sample per
+    * template, and 16 equi-depth partitions for Range.
+    */
+  val K = 10
+  val TargetRecall = 0.8
+  val TunePerTemplate = 25
+  val RangeParts = 16
+
+  /** qd-tree MIN_SIZE for an `n`-row dataset: about 64 leaves, and none
+    * below 512 rows.
+    */
+  def minSize(n: Long): Int = math.max(512, (n / 64).toInt)
 
   /** Engine options per strategy. All baselines batch queries by attribute
     * constraint (the paper enables this for every baseline); only HQI adds
@@ -67,11 +74,11 @@ object Harness {
     * and cache-warming costs.
     */
   def tuned(strategy: String, index: PartitionedIndex, sample: Workload,
-            gt: Map[Long, Array[(Long, Float)]], cfg: Config): EngineOptions = {
-    val base = strategyOpts(strategy, cfg.k)
+            gt: Map[Long, Array[(Long, Float)]]): EngineOptions = {
+    val base = strategyOpts(strategy, K)
     val tune =
-      if (base.postFilter) Tuning.tunePostFilter(index, sample, gt, cfg.targetRecall, cfg.k)
-      else Tuning.tuneNprobe(index, sample, gt, cfg.targetRecall, cfg.k, base = base)
+      if (base.postFilter) Tuning.tunePostFilter(index, sample, gt, TargetRecall, K)
+      else Tuning.tuneNprobe(index, sample, gt, TargetRecall, K, base = base)
     val opts = base.copy(nprobe = tune.nprobe, postFilterExpansion = tune.expansion)
     BatchEngine.run(index, sample, opts)
     opts
@@ -82,13 +89,13 @@ object Harness {
     * one pass suffices), and its recall against `gt`.
     */
   def measure(strategy: String, index: PartitionedIndex, workload: Workload, opts: EngineOptions,
-              gt: Map[Long, Array[(Long, Float)]], cfg: Config): StrategyRow = {
+              gt: Map[Long, Array[(Long, Float)]]): StrategyRow = {
     val run = Seq.fill(if (opts.postFilter) 1 else 2)(BatchEngine.run(index, workload, opts))
       .minBy(_.metrics.wallMillis)
-    val recall = Recall.overall(run.results, gt, cfg.k)
+    val recall = Recall.overall(run.results, gt, K)
     StrategyRow(strategy, index.buildMillis, run.metrics.wallMillis,
                 run.metrics.tuplesScanned, run.metrics.distComps, run.metrics.routedTuples,
-                recall, reachedTarget = recall >= cfg.targetRecall - 0.02)
+                recall, reachedTarget = recall >= TargetRecall - 0.02)
   }
 
   /** Run every applicable strategy on one dataset.
@@ -100,11 +107,11 @@ object Harness {
     *                  constraints over multiple attributes)
     */
   def benchDataset(name: String, db: DataFrame, attrCols: Seq[String], metric: Metric,
-                   workload: Workload, history: Workload, rangeAttr: Option[String],
-                   cfg: Config = Config(), quiet: Boolean = false): DatasetBench = {
-    def log(s: String): Unit = if (!quiet) println(s"[bench:$name] $s")
+                   workload: Workload, history: Workload, rangeAttr: Option[String]): DatasetBench = {
+    def log(s: String): Unit = println(s"[bench:$name] $s")
 
-    log(s"building indexes over ${db.count()} rows, |Q| = ${workload.size}")
+    val n = db.count()
+    log(s"building indexes over $n rows, |Q| = ${workload.size}")
     // Warm the build code paths (collect, k-means, layout) on a small sample
     // so the first timed build does not absorb JIT compilation, and start
     // each timed build from a settled heap.
@@ -114,26 +121,26 @@ object Harness {
                            attrCols, metric, name = "warmup").unpersist()
     System.gc()
     val hqiIdx = IndexBuilder.buildHQI(db, attrCols, metric, history,
-      HQIOptions(minSize = cfg.minSize, m = cfg.m))
+      HQIOptions(minSize = minSize(n)))
     log(s"HQI built in ${hqiIdx.buildMillis} ms (${hqiIdx.numPartitions} partitions)")
     System.gc()
     val flatIdx = IndexBuilder.buildFlat(db, attrCols, metric)
     log(s"PreFilter built in ${flatIdx.buildMillis} ms")
     val rangeIdx = rangeAttr.map { a =>
       System.gc()
-      val r = IndexBuilder.buildRange(db, attrCols, metric, a, cfg.rangeParts)
+      val r = IndexBuilder.buildRange(db, attrCols, metric, a, RangeParts)
       log(s"Range built in ${r.buildMillis} ms")
       r
     }
 
     // Exhaustive ground truth over the full workload (also the recall oracle).
-    val gt = BatchEngine.run(flatIdx, workload, EngineOptions(k = cfg.k, exhaustive = true)).results
+    val gt = BatchEngine.run(flatIdx, workload, EngineOptions(k = K, exhaustive = true)).results
     log(s"ground truth computed for ${gt.size} queries")
 
-    val sample = workload.sampledPerTemplate(cfg.tunePerTemplate)
+    val sample = workload.sampledPerTemplate(TunePerTemplate)
 
     def timed(strategy: String, index: PartitionedIndex): StrategyRow = {
-      val row = measure(strategy, index, workload, tuned(strategy, index, sample, gt, cfg), gt, cfg)
+      val row = measure(strategy, index, workload, tuned(strategy, index, sample, gt), gt)
       log(f"$strategy%-10s run=${row.runMillis}%6d ms scanned=${row.tuplesScanned}%12d " +
           f"dist=${row.distComps}%12d recall=${row.recall}%.3f reached=${row.reachedTarget}")
       row

@@ -18,15 +18,20 @@ object Bigann {
 
   val AttrCols: Seq[String] = Seq("a", "b")
 
+  /** Mixture components, and each vector's per-dimension spread around its
+    * component.
+    */
+  val NClusters = 64
+  val Spread = 0.25
+
   /** Dataset: Gaussian-mixture vectors plus uniform attributes A, B. */
-  def dataset(spark: SparkSession, n: Long, d: Int, nClusters: Int = 64,
-              seed: Long = 51, spread: Double = 0.25): DataFrame = {
+  def dataset(spark: SparkSession, n: Long, d: Int, seed: Long = 51): DataFrame = {
     import spark.implicits._
-    val centers = VectorData.makeCenters(nClusters, d, seed)
+    val centers = VectorData.makeCenters(NClusters, d, seed)
     spark.range(n).map { id =>
       val rnd = new Random(VectorData.mix(seed, id))
       val c = rnd.nextInt(centers.length)
-      val vec = VectorData.sampleNear(centers(c), spread, rnd)
+      val vec = VectorData.sampleNear(centers(c), Spread, rnd)
       (id, vec, rnd.nextDouble(), rnd.nextDouble())
     }.toDF("id", "vec", "a", "b")
   }
@@ -39,20 +44,19 @@ object Bigann {
   /** Query vectors: `nq` fresh samples from the same mixture (held-out, as
     * BIGANN ships query sets drawn from the data distribution).
     */
-  def queryVectors(nq: Int, d: Int, nClusters: Int = 64, seed: Long = 51,
-                   spread: Double = 0.25): Array[Array[Float]] = {
-    val centers = VectorData.makeCenters(nClusters, d, seed)
+  def queryVectors(nq: Int, d: Int, seed: Long = 51): Array[Array[Float]] = {
+    val centers = VectorData.makeCenters(NClusters, d, seed)
     val rnd = new Random(seed * 31 + 7)
     Array.fill(nq) {
       val c = rnd.nextInt(centers.length)
-      VectorData.sampleNear(centers(c), spread, rnd)
+      VectorData.sampleNear(centers(c), Spread, rnd)
     }
   }
 
   /** The full workload: Cartesian product of all 20 filters × nq vectors. */
   def workload(nq: Int, d: Int, k: Int = 10, metric: Metric = Metric.L2,
-               nClusters: Int = 64, seed: Long = 51): Workload = {
-    val qvecs = queryVectors(nq, d, nClusters, seed)
+               seed: Long = 51): Workload = {
+    val qvecs = queryVectors(nq, d, seed)
     val queries = for {
       (t, ti) <- templates.zipWithIndex
       (v, vi) <- qvecs.zipWithIndex

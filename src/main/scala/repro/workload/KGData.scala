@@ -44,6 +44,9 @@ object KGData {
   /** Mixture components per entity type (type-cluster correlation). */
   val SubclustersPerType = 4
 
+  /** Per-dimension spread of a vector around its mixture component. */
+  val Spread = 0.25
+
   final case class Entity(id: Long, vec: Array[Float], etype: String,
                           height: Option[Double], genre: Option[String],
                           country: Option[String], birth_year: Option[Double],
@@ -58,12 +61,12 @@ object KGData {
     i
   }
 
-  def generateOne(id: Long, centers: Array[Array[Float]], spread: Double, seed: Long): Entity = {
+  def generateOne(id: Long, centers: Array[Array[Float]], seed: Long): Entity = {
     val rnd = new Random(VectorData.mix(seed, id))
     val ti = pickType(rnd.nextDouble())
     val t = typeNames(ti)
     val sub = rnd.nextInt(SubclustersPerType)
-    val vec = VectorData.sampleNear(centers(ti * SubclustersPerType + sub), spread, rnd)
+    val vec = VectorData.sampleNear(centers(ti * SubclustersPerType + sub), Spread, rnd)
     val height = if (rnd.nextDouble() < HeightNN(t)) Some(170.0 + rnd.nextGaussian() * 15.0) else None
     val genre = if (rnd.nextDouble() < GenreNN(t)) Some(Genres(rnd.nextInt(Genres.length))) else None
     val country = if (rnd.nextDouble() < CountryNN(t)) Some(Countries(rnd.nextInt(Countries.length))) else None
@@ -72,10 +75,10 @@ object KGData {
   }
 
   /** The entity DataFrame: `n` rows, vectors of dimension `d`. */
-  def entities(spark: SparkSession, n: Long, d: Int, seed: Long = 21, spread: Double = 0.25): DataFrame = {
+  def entities(spark: SparkSession, n: Long, d: Int, seed: Long = 21): DataFrame = {
     import spark.implicits._
     val centers = VectorData.makeCenters(typeNames.length * SubclustersPerType, d, seed)
-    spark.range(n).map(id => generateOne(id, centers, spread, seed))
+    spark.range(n).map(id => generateOne(id, centers, seed))
       .toDF("id", "vec", "etype", "height", "genre", "country", "birth_year", "popularity")
   }
 }

@@ -72,6 +72,16 @@ object Templates {
   val lp: Seq[Template] =
     TypeFreq.zipWithIndex.map { case ((t, _), i) => Template(101 + i, s"LP-$t", Seq(StrEq("etype", t))) }
 
+  /** Per-dimension noise between a query vector and the entity it is
+    * sampled near.
+    */
+  val QueryNoise = 0.1
+
+  /** Entities per template (lowest ids first) that query vectors are
+    * sampled near.
+    */
+  val VecPoolCap = 500
+
   /** Build a workload by sampling, per template, query vectors near entities
     * that *satisfy* the template (the paper's queries reference real KG
     * entities, so query vectors correlate with their filters). Falls back to
@@ -79,13 +89,12 @@ object Templates {
     */
   def sampleWorkload(db: DataFrame, templates: Seq[Template], weights: Seq[Int],
                      numQueries: Int, k: Int, metric: Metric, seed: Long,
-                     qidBase: Long = 0L, noise: Double = 0.1,
-                     vecPoolCap: Int = 500): Workload = {
+                     qidBase: Long = 0L): Workload = {
     require(templates.length == weights.length)
     val rnd = new Random(seed)
 
     def collectVecs(df: DataFrame): Array[Array[Float]] =
-      df.orderBy("id").limit(vecPoolCap).select("vec").collect()
+      df.orderBy("id").limit(VecPoolCap).select("vec").collect()
         .map(_.getSeq[Float](0).toArray)
 
     val fallback = collectVecs(db)
@@ -103,7 +112,7 @@ object Templates {
     for ((t, c) <- templates.zip(counts); _ <- 0 until c) {
       val pool = pools(t.id)
       val base = pool(rnd.nextInt(pool.length))
-      val vec = VectorData.sampleNear(base, noise, rnd)
+      val vec = VectorData.sampleNear(base, QueryNoise, rnd)
       queries += HybridQuery(qid, t.id, vec)
       qid += 1
     }

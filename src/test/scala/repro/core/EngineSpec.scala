@@ -161,6 +161,16 @@ class EngineSpec extends SparkSpec {
       assert(matchIds(q.templateId).contains(id))
   }
 
+  test("post-filtering counts one filter check per candidate its tasks emit") {
+    val opts = EngineOptions(defaultNprobe = 8, postFilter = true, postFilterExpansion = 4)
+    val run = BatchEngine.run(flat(this), workload, opts)
+    // Each task emits at most heapK scored candidates per query.
+    val emittedBound = math.min(run.metrics.distComps,
+      workload.size.toLong * opts.heapK * flat(this).data.rdd.getNumPartitions)
+    assert(run.metrics.filterRows > 0)
+    assert(run.metrics.filterRows <= emittedBound, s"${run.metrics} vs bound $emittedBound")
+  }
+
   test("post-filtering achieves lower or equal recall than pushdown at equal nprobe") {
     val push = BatchEngine.run(flat(this), workload, EngineOptions(defaultNprobe = 4))
     val post = BatchEngine.run(flat(this), workload,

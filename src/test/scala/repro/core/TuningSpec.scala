@@ -37,8 +37,7 @@ class TuningSpec extends SparkSpec {
   }
 
   test("trivial target 0.0 is satisfied by the smallest grid step") {
-    val res = Tuning.tuneNprobe(flat(this), sample, gt, target = 0.0, k = sample.k,
-                                grid = Seq(1, 2))
+    val res = Tuning.tuneNprobe(flat(this), sample, gt, target = 0.0, k = sample.k)
     assert(res.nprobe.values.forall(_ == 1))
   }
 

@@ -77,6 +77,18 @@ class HarnessSpec extends AnyFunSuite {
     assert(t.contains("31×"))
   }
 
+  test("Scale derives the other datasets' query counts from RelatedQS's") {
+    val s = Experiments.Scale(nqRelated = 6000)
+    assert((s.nqLp, s.nqBigann, s.nqSift) == ((3000, 300, 30)))
+    val default = Experiments.Scale()
+    assert((default.nqLp, default.nqBigann, default.nqSift) == ((1000, 100, 10)))
+  }
+
+  test("minSize is a 64th of the rows, at least 512") {
+    assert(Harness.minSize(100_000) == 1562)
+    assert(Harness.minSize(20_000) == 512)
+  }
+
   test("table2 includes all five datasets") {
     val t = Experiments.table2()
     Seq("SIFT", "MSTuring", "YandexT2I", "LP", "RelatedQS").foreach(n => assert(t.contains(n)))
