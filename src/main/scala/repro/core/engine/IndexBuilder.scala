@@ -40,7 +40,7 @@ object IndexBuilder {
   val PartCol = "__part"
   val ClusterCol = "__cluster"
 
-  /** Base seed of the k-means in every build (`buildFlat`'s default). */
+  /** Base seed of the k-means in every build. */
   val Seed = 7L
 
   private def now(): Long = System.currentTimeMillis()
@@ -66,20 +66,20 @@ object IndexBuilder {
 
   /** The build step every layout shares. Partition `p` (tuples with
     * `partOf(i) == p`, in id order) gets √|P| IVF cells trained with seed
-    * `seed + p`, or one zero centroid when it is empty; every tuple is
+    * `Seed + p`, or one zero centroid when it is empty; every tuple is
     * assigned its nearest cell, the data is laid out and cached by
     * `(__part, __cluster)`, and its posting lists are decoded and persisted.
     */
   private def build(name: String, db: DataFrame, attrCols: Seq[String], metric: Metric,
                     routing: Routing, ids: Array[Long], vecs: Array[Array[Float]],
-                    partOf: Array[Int], numParts: Int, seed: Long, t0: Long): PartitionedIndex = {
+                    partOf: Array[Int], numParts: Int, t0: Long): PartitionedIndex = {
     val members = Array.fill(numParts)(new mutable.ArrayBuilder.ofInt)
     for (i <- ids.indices) members(partOf(i)) += i
     val dim = vecs.headOption.fold(1)(_.length)
     val clusterOf = new Array[Int](ids.length)
     val leaves = Array.tabulate(numParts) { p =>
       val idxs = members(p).result()
-      val cents = if (idxs.isEmpty) Array(new Array[Float](dim)) else IVF.train(idxs.map(vecs), seed + p)
+      val cents = if (idxs.isEmpty) Array(new Array[Float](dim)) else IVF.train(idxs.map(vecs), Seed + p)
       idxs.foreach(i => clusterOf(i) = IVF.assign(vecs(i), cents))
       LeafMeta(p, idxs.length.toLong, cents)
     }
@@ -104,10 +104,10 @@ object IndexBuilder {
     * scale as O(n√n), Table 4).
     */
   def buildFlat(db: DataFrame, attrCols: Seq[String], metric: Metric,
-                name: String = "PreFilter", seed: Long = Seed): PartitionedIndex = {
+                name: String = "PreFilter"): PartitionedIndex = {
     val t0 = now()
     val (ids, vecs) = collectVectors(db)((_, _) => ())
-    build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1, seed, t0)
+    build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1, t0)
   }
 
   /** Strategy C layout: equi-depth range partitions on `rangeAttr`, one IVF
@@ -127,7 +127,7 @@ object IndexBuilder {
     val parts = new mutable.ArrayBuilder.ofInt
     val (ids, vecs) = collectVectors(db, Seq(coalesce(bucket(col(rangeAttr)), lit(0))))((_, r) => parts += r.getInt(2))
     build("Range", db, attrCols, metric, Routing.ByRange(rangeAttr, edges.zip(edges.tail)),
-          ids, vecs, parts.result(), numParts, Seed, t0)
+          ids, vecs, parts.result(), numParts, t0)
   }
 
   /** HQI (§4): balanced qd-tree over the historical workload's predicates
@@ -160,7 +160,7 @@ object IndexBuilder {
     val centroidRouting: Option[Routing.CentroidRouting] =
       if (opts.m > 0)
         Some(Routing.CentroidRouting(opts.m,
-          KMeans.train(vecs, opts.numGlobalCentroids, IVF.AssignMetric, seed = Seed)))
+          KMeans.train(vecs, opts.numGlobalCentroids, seed = Seed)))
       else None
     val centroidPreds: Array[Pred] =
       centroidRouting.fold(Array.empty[Pred])(c => Array.tabulate(c.global.length)(Pred.CentroidEq(_)))
@@ -181,8 +181,8 @@ object IndexBuilder {
       .groupBy(q => routing.clauses(history.templateById(q.templateId).preds, Some(q.vec)))
       .map { case (clauses, qs) => RoutedQuery(clauses, qs.size.toLong) }.toSeq
 
-    val tree = QDTree.build(n, preds, support, shapes, opts.minSize)
+    val tree = QDTree.build(n, support, shapes, opts.minSize)
     build("HQI", db, attrCols, metric, routing.copy(semantics = tree.leaves.map(_.semantic)),
-          ids, vecs, tree.leafOfTuple, tree.numLeaves, Seed, t0)
+          ids, vecs, tree.leafOfTuple, tree.numLeaves, t0)
   }
 }

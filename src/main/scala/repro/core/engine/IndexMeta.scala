@@ -6,7 +6,6 @@ import org.apache.spark.sql.DataFrame
 import scala.collection.immutable.BitSet
 import scala.collection.mutable
 
-import repro.core.ivf.IVF
 import repro.core.qdtree.{Pred, QDTree}
 import repro.core.vec.{Block, Metric, VectorOps}
 import repro.workload.Template
@@ -47,7 +46,7 @@ object Routing {
       */
     def clauses(conjunction: Seq[Pred], qvec: Option[Array[Float]]): Seq[Seq[Int]] = {
       val centroidClause = for (c <- centroids.toSeq; v <- qvec.toSeq) yield
-        VectorOps.nearestN(v, c.global, c.m, IVF.AssignMetric).toSeq.flatMap(i => predIndex.get(Pred.CentroidEq(i)))
+        VectorOps.nearestN(v, c.global, c.m).toSeq.flatMap(i => predIndex.get(Pred.CentroidEq(i)))
       conjunction.flatMap(predIndex.get).map(Seq(_)) ++ centroidClause
     }
     def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int] = {

@@ -28,43 +28,25 @@ object Tuning {
   val PostFilterSteps: Seq[(Int, Int)] =
     Seq((2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (128, 64), (256, 64))
 
-  /** Tune nprobe per template for a pushdown-style strategy over
-    * [[DefaultGrid]]. `truth` must be exhaustive results for (at least)
-    * `sample`'s queries.
+  /** Tune nprobe per template for the strategy `base` describes. `truth`
+    * must be exhaustive results for (at least) `sample`'s queries.
+    *
+    * A pushdown strategy escalates nprobe over [[DefaultGrid]] at `base`'s
+    * expansion. PostFilter (`base.postFilter`) escalates nprobe and
+    * expansion together over [[PostFilterSteps]], since low-selectivity
+    * filters need both wider probing and more unfiltered candidates to
+    * survive post-filtering; one expansion applies engine-wide, so the
+    * result carries the largest any template needed.
     */
   def tuneNprobe(index: PartitionedIndex, sample: Workload,
                  truth: Map[Long, Array[(Long, Float)]],
                  target: Double = 0.8, k: Int = 10,
                  base: EngineOptions = EngineOptions()): TuneResult = {
-    val (assigned, achieved) =
-      escalate(index, sample, truth, target, k,
-               DefaultGrid.map(np => (np, base.postFilterExpansion)), base)
-    TuneResult(assigned.map { case (tid, (np, _)) => tid -> np }, base.postFilterExpansion, achieved)
-  }
-
-  /** Tune PostFilter: nprobe and candidate expansion escalate together,
-    * since low-selectivity filters need both wider probing and more
-    * unfiltered candidates to survive post-filtering.
-    */
-  def tunePostFilter(index: PartitionedIndex, sample: Workload,
-                     truth: Map[Long, Array[(Long, Float)]],
-                     target: Double = 0.8, k: Int = 10): TuneResult = {
-    val (assigned, achieved) =
-      escalate(index, sample, truth, target, k, PostFilterSteps, EngineOptions(postFilter = true))
-    // A single expansion applies engine-wide; take the max any template needs.
-    val exp = if (assigned.isEmpty) PostFilterSteps.last._2 else assigned.values.map(_._2).max
-    TuneResult(assigned.map { case (tid, (np, _)) => tid -> np }, exp, achieved)
-  }
-
-  /** Run the sample at each (nprobe, expansion) step in turn, for the
-    * templates still below target, and fix each template at the first step
-    * that reaches it; templates that never do get the last step. Returns
-    * each template's step and its latest achieved recall.
-    */
-  private def escalate(index: PartitionedIndex, sample: Workload,
-                       truth: Map[Long, Array[(Long, Float)]],
-                       target: Double, k: Int, steps: Seq[(Int, Int)],
-                       base: EngineOptions): (Map[Int, (Int, Int)], Map[Int, Double]) = {
+    val steps =
+      if (base.postFilter) PostFilterSteps else DefaultGrid.map(np => (np, base.postFilterExpansion))
+    // Run the sample at each step in turn, for the templates still below
+    // target, and fix each template at the first step that reaches it;
+    // templates that never do get the last step.
     val assigned = mutable.HashMap.empty[Int, (Int, Int)]
     val achieved = mutable.HashMap.empty[Int, Double]
     var remaining: Set[Int] = sample.templates.map(_.id).toSet
@@ -85,6 +67,7 @@ object Tuning {
       }
     }
     remaining.foreach(tid => assigned(tid) = steps.last)
-    (assigned.toMap, achieved.toMap)
+    TuneResult(assigned.map { case (tid, (np, _)) => tid -> np }.toMap,
+               assigned.values.map(_._2).maxOption.getOrElse(steps.last._2), achieved.toMap)
   }
 }

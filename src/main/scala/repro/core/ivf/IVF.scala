@@ -16,7 +16,9 @@ import repro.core.vec.{KMeans, Metric, VectorOps}
   */
 object IVF {
 
-  /** Metric used for all centroid training/assignment/probing. */
+  /** Metric of every centroid operation: [[KMeans]] and [[VectorOps.nearest]]
+    * are L2 by construction, and the engine ranks cells for probing with it.
+    */
   val AssignMetric: Metric = Metric.L2
 
   /** Train √n cells (the paper's default) for one partition's vectors. */
@@ -24,12 +26,11 @@ object IVF {
     // Train on the full vector set (no subsampling): single-index training
     // then scales as O(n·√n) versus O(n·√(n/p)) for a p-way partitioned
     // index — the asymmetry behind the paper's Table 4.
-    KMeans.train(vectors, KMeans.sqrtCells(vectors.length.toLong), AssignMetric, seed = seed,
-                 sampleCap = Int.MaxValue)
+    KMeans.train(vectors, KMeans.sqrtCells(vectors.length.toLong), seed = seed, sampleCap = Int.MaxValue)
 
   /** Cell assignment for a single vector (used identically at build time and
     * when computing probe lists, so layout and probing agree).
     */
   def assign(vec: Array[Float], centroids: Array[Array[Float]]): Int =
-    VectorOps.nearest(vec, centroids, AssignMetric)
+    VectorOps.nearest(vec, centroids)
 }

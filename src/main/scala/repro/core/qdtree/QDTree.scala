@@ -32,24 +32,17 @@ final case class QDLeaf(leafId: Int, tuples: RoaringBitmap, semantic: BitSet) {
   * which hands this class one [[RoaringBitmap]] of satisfying tuple indices
   * per predicate.
   */
-final class QDTree(val preds: Array[Pred],
-                   val leaves: Array[QDLeaf],
+final class QDTree(val leaves: Array[QDLeaf],
                    val leafOfTuple: Array[Int]) extends Serializable {
 
   def numLeaves: Int = leaves.length
-
-  /** Eq. (1): total tuples accessed to evaluate the workload on this layout. */
-  def cost(workload: Seq[RoutedQuery]): Long =
-    workload.iterator.map { q =>
-      leaves.iterator.filter(l => QDTree.satisfiable(l.semantic, q.clauses)).map(_.size * q.weight).sum
-    }.sum
 }
 
 object QDTree {
 
   /** Can a partition with semantic description `sem` hold a tuple meeting
     * every clause? An empty clause constrains nothing. The one pruning rule:
-    * tree construction, workload cost and `Routing.ByQDTree` all use it;
+    * tree construction and `Routing.ByQDTree` both use it;
     * `Routing.ByQDTree.clauses` is the one reading of a query as clauses.
     */
   def satisfiable(sem: BitSet, clauses: Seq[Seq[Int]]): Boolean =
@@ -59,8 +52,9 @@ object QDTree {
     *
     * @param n        number of tuples; tuple indices are 0 until n in the
     *                 builder's collection order
-    * @param preds    extracted cut predicates (attribute + centroid)
-    * @param support  per predicate, the set of tuple indices satisfying it
+    * @param support  per extracted cut predicate (attribute + centroid), the
+    *                 set of tuple indices satisfying it; leaf semantics
+    *                 index predicates by their position here
     * @param workload deduplicated workload shapes with weights
     * @param minSize  stop splitting below this partition size (MIN_SIZE)
     *
@@ -71,9 +65,8 @@ object QDTree {
     * growing the left side until it passes |P|/2, and it keeps the greedy
     * objective aligned with the actual split being produced.
     */
-  def build(n: Int, preds: Array[Pred], support: Array[RoaringBitmap],
+  def build(n: Int, support: Array[RoaringBitmap],
             workload: Seq[RoutedQuery], minSize: Int): QDTree = {
-    require(preds.length == support.length, "one support bitmap per predicate")
     val all = new RoaringBitmap()
     if (n > 0) all.add(0L, n.toLong)
 
@@ -153,6 +146,6 @@ object QDTree {
     }
 
     if (n > 0) construct(all, workload) else ()
-    new QDTree(preds, leaves.toArray, leafOf)
+    new QDTree(leaves.toArray, leafOf)
   }
 }

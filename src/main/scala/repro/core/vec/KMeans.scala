@@ -2,9 +2,13 @@ package repro.core.vec
 
 import scala.util.Random
 
-/** Seeded Lloyd's k-means over float vectors, used for
+/** Seeded Lloyd's k-means under squared L2 over float vectors, used for
   *   (i) the global centroid attribute `t.c` of §4.1.1, and
   *   (ii) per-partition IVF cell training (√n cells, §4.1.3).
+  *
+  * Both are coarse quantizers, which (as in FAISS) are trained and probed
+  * under L2 whatever metric scores the candidates ([[repro.core.ivf.IVF]]),
+  * so this is the only metric k-means knows.
   *
   * Driver-side by design: at reproduction scale (≤200k × d≤48) training on a
   * bounded sample is orders of magnitude cheaper than a distributed
@@ -21,7 +25,7 @@ object KMeans {
     * from its centroid so exactly `min(k, distinct points)` non-degenerate
     * centroids come back.
     */
-  def train(vectors: Array[Array[Float]], k: Int, metric: Metric,
+  def train(vectors: Array[Array[Float]], k: Int,
             seed: Long = 42, sampleCap: Int = 50000): Array[Array[Float]] = {
     require(vectors.nonEmpty, "cannot train k-means on an empty vector set")
     val rnd = new Random(seed)
@@ -31,8 +35,9 @@ object KMeans {
     val kk = math.max(1, math.min(k, data.length))
     val d = data(0).length
 
-    // kmeans++-lite init: first centroid uniform, then weight by score to the
-    // nearest chosen centroid (on a capped candidate sample for speed).
+    // kmeans++-lite init: first centroid uniform, then weight by squared
+    // distance to the nearest chosen centroid (on a capped candidate sample
+    // for speed).
     val centroids = new Array[Array[Float]](kk)
     centroids(0) = data(rnd.nextInt(data.length)).clone()
     val best = Array.fill(data.length)(Float.MaxValue)
@@ -40,15 +45,13 @@ object KMeans {
     while (c < kk) {
       var i = 0
       while (i < data.length) {
-        val s = metric.score(centroids(c - 1), data(i))
+        val s = VectorOps.l2Sq(centroids(c - 1), data(i))
         if (s < best(i)) best(i) = s
         i += 1
       }
-      // Sample proportional to shifted scores (IP scores can be negative).
-      var minS = Float.MaxValue
-      best.foreach(s => if (s < minS) minS = s)
+      // Sample proportional to `best`; chosen points are at exactly 0.
       var total = 0.0
-      best.foreach(s => total += (s - minS).toDouble)
+      best.foreach(s => total += s.toDouble)
       if (total <= 0) {
         centroids(c) = data(rnd.nextInt(data.length)).clone()
       } else {
@@ -57,7 +60,7 @@ object KMeans {
         var j = 0
         var done = false
         while (j < data.length && !done) {
-          r -= (best(j) - minS).toDouble
+          r -= best(j).toDouble
           if (r <= 0) { pick = j; done = true }
           j += 1
         }
@@ -70,7 +73,7 @@ object KMeans {
     var it = 0
     while (it < Iters) {
       var i = 0
-      while (i < data.length) { assign(i) = VectorOps.nearest(data(i), centroids, metric); i += 1 }
+      while (i < data.length) { assign(i) = VectorOps.nearest(data(i), centroids); i += 1 }
       val sums = Array.ofDim[Double](kk, d)
       val counts = new Array[Int](kk)
       i = 0
@@ -93,7 +96,7 @@ object KMeans {
           var worst = 0; var worstS = Float.MinValue
           var j = 0
           while (j < data.length) {
-            val s = metric.score(data(j), centroids(assign(j)))
+            val s = VectorOps.l2Sq(data(j), centroids(assign(j)))
             if (s > worstS) { worstS = s; worst = j }
             j += 1
           }

@@ -29,8 +29,10 @@ object Metric {
   }
 }
 
-/** Scalar float vector kernels for k-means and IVF assignment. They define
-  * [[Metric.score]], which [[BatchScorer]] reproduces bit for bit.
+/** Scalar float vector kernels. [[l2Sq]] and [[dot]] define
+  * [[Metric.score]], which [[BatchScorer]] reproduces bit for bit;
+  * [[nearest]] and [[nearestN]] are the L2 centroid lookups of k-means, IVF
+  * assignment and centroid routing.
   */
 object VectorOps {
 
@@ -48,20 +50,20 @@ object VectorOps {
     s
   }
 
-  /** Index of the nearest (lowest-score) centroid. */
-  def nearest(q: Array[Float], centroids: Array[Array[Float]], metric: Metric): Int = {
+  /** Index of the L2-nearest centroid (the lowest index on ties). */
+  def nearest(q: Array[Float], centroids: Array[Array[Float]]): Int = {
     var best = 0; var bestS = Float.MaxValue; var i = 0
     while (i < centroids.length) {
-      val s = metric.score(q, centroids(i))
+      val s = l2Sq(q, centroids(i))
       if (s < bestS) { bestS = s; best = i }
       i += 1
     }
     best
   }
 
-  /** Indices of the `n` nearest centroids, closest first. */
-  def nearestN(q: Array[Float], centroids: Array[Array[Float]], n: Int, metric: Metric): Array[Int] = {
-    val scored = centroids.indices.map(i => (metric.score(q, centroids(i)), i))
+  /** Indices of the `n` L2-nearest centroids, closest first. */
+  def nearestN(q: Array[Float], centroids: Array[Array[Float]], n: Int): Array[Int] = {
+    val scored = centroids.indices.map(i => (l2Sq(q, centroids(i)), i))
     scored.sortBy(t => (t._1, t._2)).take(math.min(n, centroids.length)).map(_._2).toArray
   }
 }

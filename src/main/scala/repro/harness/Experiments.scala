@@ -106,7 +106,7 @@ object Experiments {
     def bigannBench(name: String, d: Int, nq: Int, metric: Metric, seed: Long): Unit = {
       if (wanted(name)) {
         val db = Bigann.dataset(spark, scale.n, d, seed = seed).cache(); db.count()
-        val w = Bigann.workload(nq, d, Harness.K, metric, seed = seed)
+        val w = Bigann.workload(nq, d, metric, seed = seed)
         out += Harness.benchDataset(name, db, Bigann.AttrCols, metric,
                                     w, history = w, rangeAttr = Some("a"))
         db.unpersist()

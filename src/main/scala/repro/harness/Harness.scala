@@ -60,11 +60,11 @@ object Harness {
     * vector-similarity batching (Algorithm 3). PreFilter additionally pays
     * Strategy B's full-dataset bitmap construction.
     */
-  def strategyOpts(strategy: String, k: Int): EngineOptions = strategy match {
-    case "HQI"        => EngineOptions(k = k, vectorBatching = true, attrBatching = true)
-    case "PreFilter"  => EngineOptions(k = k, vectorBatching = false, attrBatching = true, eagerBitmap = true)
-    case "PostFilter" => EngineOptions(k = k, vectorBatching = false, attrBatching = true, postFilter = true)
-    case "Range"      => EngineOptions(k = k, vectorBatching = false, attrBatching = true)
+  def strategyOpts(strategy: String): EngineOptions = strategy match {
+    case "HQI"        => EngineOptions(k = K, vectorBatching = true, attrBatching = true)
+    case "PreFilter"  => EngineOptions(k = K, vectorBatching = false, attrBatching = true, eagerBitmap = true)
+    case "PostFilter" => EngineOptions(k = K, vectorBatching = false, attrBatching = true, postFilter = true)
+    case "Range"      => EngineOptions(k = K, vectorBatching = false, attrBatching = true)
     case other        => throw new IllegalArgumentException(s"unknown strategy $other")
   }
 
@@ -75,10 +75,8 @@ object Harness {
     */
   def tuned(strategy: String, index: PartitionedIndex, sample: Workload,
             gt: Map[Long, Array[(Long, Float)]]): EngineOptions = {
-    val base = strategyOpts(strategy, K)
-    val tune =
-      if (base.postFilter) Tuning.tunePostFilter(index, sample, gt, TargetRecall, K)
-      else Tuning.tuneNprobe(index, sample, gt, TargetRecall, K, base = base)
+    val base = strategyOpts(strategy)
+    val tune = Tuning.tuneNprobe(index, sample, gt, TargetRecall, K, base = base)
     val opts = base.copy(nprobe = tune.nprobe, postFilterExpansion = tune.expansion)
     BatchEngine.run(index, sample, opts)
     opts

@@ -53,14 +53,15 @@ object Bigann {
     }
   }
 
-  /** The full workload: Cartesian product of all 20 filters × nq vectors. */
-  def workload(nq: Int, d: Int, k: Int = 10, metric: Metric = Metric.L2,
-               seed: Long = 51): Workload = {
+  /** The full workload: Cartesian product of all 20 filters × nq vectors,
+    * each a top-10 query (§6.1).
+    */
+  def workload(nq: Int, d: Int, metric: Metric = Metric.L2, seed: Long = 51): Workload = {
     val qvecs = queryVectors(nq, d, seed)
     val queries = for {
       (t, ti) <- templates.zipWithIndex
       (v, vi) <- qvecs.zipWithIndex
     } yield HybridQuery(ti.toLong * 1_000_000L + vi, t.id, v)
-    Workload(templates, queries.toIndexedSeq, k, metric)
+    Workload(templates, queries.toIndexedSeq, 10, metric)
   }
 }

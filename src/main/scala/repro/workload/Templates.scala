@@ -85,10 +85,11 @@ object Templates {
   /** Build a workload by sampling, per template, query vectors near entities
     * that *satisfy* the template (the paper's queries reference real KG
     * entities, so query vectors correlate with their filters). Falls back to
-    * arbitrary entities if a template matches nothing at this scale.
+    * arbitrary entities if a template matches nothing at this scale. KG
+    * queries rank by inner product.
     */
   def sampleWorkload(db: DataFrame, templates: Seq[Template], weights: Seq[Int],
-                     numQueries: Int, k: Int, metric: Metric, seed: Long,
+                     numQueries: Int, k: Int, seed: Long,
                      qidBase: Long = 0L): Workload = {
     require(templates.length == weights.length)
     val rnd = new Random(seed)
@@ -116,21 +117,20 @@ object Templates {
       queries += HybridQuery(qid, t.id, vec)
       qid += 1
     }
-    Workload(templates, queries.toIndexedSeq, k, metric)
+    Workload(templates, queries.toIndexedSeq, k, Metric.IP)
   }
 
   /** RelatedQS workload for temporal split `split` ∈ 0..3 (Table 1 mix). */
   def relatedQSWorkload(db: DataFrame, split: Int, numQueries: Int, k: Int = 10,
-                        metric: Metric = Metric.IP, seed: Long = 31): Workload =
-    sampleWorkload(db, relatedQS, SplitFreqs(split).toSeq, numQueries, k, metric,
+                        seed: Long = 31): Workload =
+    sampleWorkload(db, relatedQS, SplitFreqs(split).toSeq, numQueries, k,
                    seed + split, qidBase = split.toLong * 10_000_000L)
 
   /** LP workload (no historical log; type-only filters, frequencies follow
     * the entity-type marginal).
     */
-  def lpWorkload(db: DataFrame, numQueries: Int, k: Int = 10,
-                 metric: Metric = Metric.IP, seed: Long = 47): Workload = {
+  def lpWorkload(db: DataFrame, numQueries: Int, k: Int = 10, seed: Long = 47): Workload = {
     val weights = TypeFreq.map { case (_, p) => math.max(1, math.round(p * 100).toInt) }
-    sampleWorkload(db, lp, weights, numQueries, k, metric, seed, qidBase = 500_000_000L)
+    sampleWorkload(db, lp, weights, numQueries, k, seed, qidBase = 500_000_000L)
   }
 }

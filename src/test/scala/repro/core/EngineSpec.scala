@@ -218,7 +218,7 @@ class EngineSpec extends SparkSpec {
     assert(expected.size < workload.size, "some query should have no post-filter survivors")
 
     val allCells = flat(this).leaves.map(_.centroids.length).sum
-    val run = BatchEngine.run(flat(this), workload, Harness.strategyOpts("PostFilter", k)
+    val run = BatchEngine.run(flat(this), workload, Harness.strategyOpts("PostFilter")
       .copy(defaultNprobe = allCells, postFilterExpansion = expansion))
     assert(run.results.keySet == expected.keySet)
     for ((qid, ids) <- expected)
@@ -236,7 +236,7 @@ class EngineSpec extends SparkSpec {
 
   test("work counters are identical across two passes of the same workload") {
     for ((strategy, index) <- Seq("HQI" -> hqi(this), "PreFilter" -> flat(this), "PostFilter" -> flat(this))) {
-      val opts = Harness.strategyOpts(strategy, workload.k).copy(defaultNprobe = 4)
+      val opts = Harness.strategyOpts(strategy).copy(defaultNprobe = 4)
       val Seq(a, b) = Seq.fill(2)(BatchEngine.run(index, workload, opts).metrics.copy(wallMillis = 0))
       assert(a == b, s"$strategy counters differ between passes")
       assert(a.tuplesScanned > 0 && a.distComps > 0 && a.routedTuples > 0, s"$strategy: $a")

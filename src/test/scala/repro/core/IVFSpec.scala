@@ -15,7 +15,7 @@ class IVFSpec extends AnyFunSuite {
     * assignment metric, closest first.
     */
   private def probeCells(q: Array[Float], centroids: Array[Array[Float]], nprobe: Int): Array[Int] =
-    VectorOps.nearestN(q, centroids, nprobe, IVF.AssignMetric)
+    VectorOps.nearestN(q, centroids, nprobe)
 
   test("train defaults to sqrt(n) cells") {
     val rnd = new Random(1)
@@ -28,7 +28,7 @@ class IVFSpec extends AnyFunSuite {
     val rnd = new Random(2)
     val data = blob(Array(0f), 100, 1f, rnd)
     // IVF.train picks √n cells; a requested count goes straight to k-means.
-    assert(KMeans.train(data, 7, IVF.AssignMetric, seed = 1, sampleCap = Int.MaxValue).length == 7)
+    assert(KMeans.train(data, 7, seed = 1, sampleCap = Int.MaxValue).length == 7)
   }
 
   test("assign picks the L2-nearest centroid") {

@@ -88,7 +88,7 @@ class OracleSpec extends SparkSpec {
 
   private def runEngine(template: Template, qvecs: Array[Array[Float]],
                         metric: Metric, k: Int): EngineRun = {
-    val idx = IndexBuilder.buildFlat(engineDb, attrCols, metric, name = "oracle-flat", seed = 3)
+    val idx = IndexBuilder.buildFlat(engineDb, attrCols, metric, name = "oracle-flat")
     val w = Workload(Seq(template),
       qvecs.zipWithIndex.map { case (v, i) => HybridQuery(i.toLong, template.id, v) }.toIndexedSeq,
       k, metric)

@@ -17,13 +17,22 @@ class QDTreeSpec extends AnyFunSuite {
   }
 
   /** n tuples; each predicate's support drawn iid with probability sel(i). */
-  private def randomInstance(n: Int, sels: Seq[Double], seed: Long)
-      : (Array[Pred], Array[RoaringBitmap]) = {
+  private def randomInstance(n: Int, sels: Seq[Double], seed: Long): Array[RoaringBitmap] = {
     val rnd = new Random(seed)
-    val preds = sels.indices.map(i => Pred.NotNull(s"a$i"): Pred).toArray
-    val support = sels.map(s => bm((0 until n).filter(_ => rnd.nextDouble() < s))).toArray
-    (preds, support)
+    sels.map(s => bm((0 until n).filter(_ => rnd.nextDouble() < s))).toArray
   }
+
+  /** Cut predicates for `support`, one per bitmap: what a builder would
+    * route by (the tree itself sees only the bitmaps).
+    */
+  private def predsOf(support: Array[RoaringBitmap]): Array[Pred] =
+    support.indices.map(i => Pred.NotNull(s"a$i"): Pred).toArray
+
+  /** Eq. (1): total tuples accessed to evaluate the workload on a layout. */
+  private def cost(tree: QDTree, workload: Seq[RoutedQuery]): Long =
+    workload.iterator.map { q =>
+      tree.leaves.iterator.filter(l => QDTree.satisfiable(l.semantic, q.clauses)).map(_.size * q.weight).sum
+    }.sum
 
   /** Leaves a query's clauses can touch, by the shared pruning rule. */
   private def routed(tree: QDTree, clauses: Seq[Seq[Int]]): Set[Int] =
@@ -34,8 +43,8 @@ class QDTreeSpec extends AnyFunSuite {
 
   test("leaves are a disjoint, complete partition of the tuples") {
     val n = 1000
-    val (preds, support) = randomInstance(n, Seq(0.5, 0.2, 0.1, 0.8), 1)
-    val tree = QDTree.build(n, preds, support, singletonShapes(0 to 3), minSize = 100)
+    val support = randomInstance(n, Seq(0.5, 0.2, 0.1, 0.8), 1)
+    val tree = QDTree.build(n, support, singletonShapes(0 to 3), minSize = 100)
     val all = new RoaringBitmap()
     var total = 0L
     for (l <- tree.leaves) {
@@ -49,8 +58,8 @@ class QDTreeSpec extends AnyFunSuite {
 
   test("leafOfTuple is consistent with leaf tuple sets") {
     val n = 500
-    val (preds, support) = randomInstance(n, Seq(0.5, 0.3), 2)
-    val tree = QDTree.build(n, preds, support, singletonShapes(0 to 1), minSize = 50)
+    val support = randomInstance(n, Seq(0.5, 0.3), 2)
+    val tree = QDTree.build(n, support, singletonShapes(0 to 1), minSize = 50)
     for (l <- tree.leaves) {
       val it = l.tuples.getIntIterator
       while (it.hasNext) assert(tree.leafOfTuple(it.next()) == l.leafId)
@@ -59,9 +68,9 @@ class QDTreeSpec extends AnyFunSuite {
 
   test("semantic description is exact: bit i set iff some leaf tuple satisfies predicate i") {
     val n = 800
-    val (preds, support) = randomInstance(n, Seq(0.5, 0.05, 0.9, 0.01), 3)
-    val tree = QDTree.build(n, preds, support, singletonShapes(0 to 3), minSize = 64)
-    for (l <- tree.leaves; i <- preds.indices) {
+    val support = randomInstance(n, Seq(0.5, 0.05, 0.9, 0.01), 3)
+    val tree = QDTree.build(n, support, singletonShapes(0 to 3), minSize = 64)
+    for (l <- tree.leaves; i <- support.indices) {
       val expected = RoaringBitmap.intersects(support(i), l.tuples)
       assert(l.semantic.contains(i) == expected, s"leaf ${l.leafId} pred $i")
     }
@@ -69,9 +78,9 @@ class QDTreeSpec extends AnyFunSuite {
 
   test("any leaf above MIN_SIZE has no effective splitting predicate left") {
     val n = 1000
-    val (preds, support) = randomInstance(n, Seq(0.5, 0.4, 0.3, 0.6, 0.2), 4)
+    val support = randomInstance(n, Seq(0.5, 0.4, 0.3, 0.6, 0.2), 4)
     val minSize = 100
-    val tree = QDTree.build(n, preds, support, singletonShapes(0 to 4), minSize)
+    val tree = QDTree.build(n, support, singletonShapes(0 to 4), minSize)
     for (l <- tree.leaves if l.size > minSize) {
       val splittable = support.exists { s =>
         val c = RoaringBitmap.and(s, l.tuples).getLongCardinality
@@ -84,10 +93,10 @@ class QDTreeSpec extends AnyFunSuite {
   test("routing is safe: every tuple satisfying a conjunctive query lives in a routed leaf") {
     val n = 2000
     val rnd = new Random(5)
-    val (preds, support) = randomInstance(n, Seq(0.5, 0.2, 0.7, 0.1, 0.3, 0.9), 5)
+    val support = randomInstance(n, Seq(0.5, 0.2, 0.7, 0.1, 0.3, 0.9), 5)
     val shapes = Seq(RoutedQuery(Seq(Seq(0), Seq(1)), 3), RoutedQuery(Seq(Seq(2)), 5),
                      RoutedQuery(Seq(Seq(3), Seq(4)), 1), RoutedQuery(Seq(Seq(5), Seq(0)), 2))
-    val tree = QDTree.build(n, preds, support, shapes, minSize = 128)
+    val tree = QDTree.build(n, support, shapes, minSize = 128)
     for (shape <- shapes) {
       val leaves = routed(tree, shape.clauses)
       // Tuples satisfying every clause:
@@ -103,10 +112,9 @@ class QDTreeSpec extends AnyFunSuite {
     // Two predicates with disjoint supports; a query with clause (p0 OR p1)
     // must reach leaves holding either side.
     val n = 400
-    val preds: Array[Pred] = Array(Pred.NotNull("a"), Pred.NotNull("b"), Pred.NotNull("c"))
     val support = Array(bm(0 until 200), bm(200 until 400), bm(0 until 400 by 2))
     val shapes = Seq(RoutedQuery(Seq(Seq(0)), 5), RoutedQuery(Seq(Seq(1)), 5))
-    val tree = QDTree.build(n, preds, support, shapes, minSize = 50)
+    val tree = QDTree.build(n, support, shapes, minSize = 50)
     val both = routed(tree, Seq(Seq(0, 1)))
     val onlyA = routed(tree, Seq(Seq(0)))
     val onlyB = routed(tree, Seq(Seq(1)))
@@ -120,11 +128,10 @@ class QDTreeSpec extends AnyFunSuite {
     val typeA = (0 until n).filter(_ % 2 == 0)
     val typeB = (0 until n).filter(_ % 2 == 1)
     val rare = (0 until n).filter(_ => rnd.nextDouble() < 0.01)
-    val preds: Array[Pred] = Array(Pred.StrEq("t", "A"), Pred.StrEq("t", "B"), Pred.NotNull("rare"))
     val support = Array(bm(typeA), bm(typeB), bm(rare))
     val shapes = Seq(RoutedQuery(Seq(Seq(0)), 50), RoutedQuery(Seq(Seq(1)), 30),
                      RoutedQuery(Seq(Seq(2)), 20))
-    val tree = QDTree.build(n, preds, support, shapes, minSize = 256)
+    val tree = QDTree.build(n, support, shapes, minSize = 256)
     assert(tree.numLeaves >= 2)
     val aLeaves = routed(tree, Seq(Seq(0)))
     val bLeaves = routed(tree, Seq(Seq(1)))
@@ -136,48 +143,47 @@ class QDTreeSpec extends AnyFunSuite {
 
   test("cost of workload-aware layout is lower than the single-partition cost") {
     val n = 3000
-    val (preds, support) = randomInstance(n, Seq(0.3, 0.1, 0.5, 0.05), 7)
+    val support = randomInstance(n, Seq(0.3, 0.1, 0.5, 0.05), 7)
     val shapes = singletonShapes(0 to 3, weight = 10)
-    val tree = QDTree.build(n, preds, support, shapes, minSize = 128)
-    val flat = new QDTree(preds, Array(QDLeaf(0, bm(0 until n),
-      scala.collection.immutable.BitSet.fromSpecific(preds.indices))), Array.fill(n)(0))
-    assert(tree.cost(shapes) < flat.cost(shapes),
-           s"partitioned=${tree.cost(shapes)} flat=${flat.cost(shapes)}")
+    val tree = QDTree.build(n, support, shapes, minSize = 128)
+    val flat = new QDTree(Array(QDLeaf(0, bm(0 until n),
+      scala.collection.immutable.BitSet.fromSpecific(support.indices))), Array.fill(n)(0))
+    assert(cost(tree, shapes) < cost(flat, shapes),
+           s"partitioned=${cost(tree, shapes)} flat=${cost(flat, shapes)}")
   }
 
   test("routePreds ignores predicates the tree does not know (safe direction)") {
     val n = 200
-    val (preds, support) = randomInstance(n, Seq(0.5), 8)
-    val tree = QDTree.build(n, preds, support, singletonShapes(Seq(0)), minSize = 32)
+    val support = randomInstance(n, Seq(0.5), 8)
+    val tree = QDTree.build(n, support, singletonShapes(Seq(0)), minSize = 32)
     val unknown = Pred.StrEq("nope", "x")
-    val routing = Routing.ByQDTree(tree.preds, tree.leaves.map(_.semantic))
+    val routing = Routing.ByQDTree(predsOf(support), tree.leaves.map(_.semantic))
     assert(routing.route(Seq(unknown), None, tree.numLeaves).toSet == tree.leaves.map(_.leafId).toSet)
   }
 
   test("route with empty constraints reaches every leaf") {
     val n = 300
-    val (preds, support) = randomInstance(n, Seq(0.4, 0.6), 9)
-    val tree = QDTree.build(n, preds, support, singletonShapes(0 to 1), minSize = 64)
+    val support = randomInstance(n, Seq(0.4, 0.6), 9)
+    val tree = QDTree.build(n, support, singletonShapes(0 to 1), minSize = 64)
     assert(routed(tree, Nil) == tree.leaves.map(_.leafId).toSet)
   }
 
   test("n = 0 yields an empty tree") {
-    val tree = QDTree.build(0, Array(Pred.NotNull("a")), Array(new RoaringBitmap), Nil, 16)
+    val tree = QDTree.build(0, Array(new RoaringBitmap), Nil, 16)
     assert(tree.numLeaves == 0)
   }
 
   test("a partition smaller than MIN_SIZE is not split") {
     val n = 50
-    val (preds, support) = randomInstance(n, Seq(0.5, 0.5), 10)
-    val tree = QDTree.build(n, preds, support, singletonShapes(0 to 1), minSize = 100)
+    val support = randomInstance(n, Seq(0.5, 0.5), 10)
+    val tree = QDTree.build(n, support, singletonShapes(0 to 1), minSize = 100)
     assert(tree.numLeaves == 1)
   }
 
   test("all-true / all-false predicates are never used as cuts") {
     val n = 400
-    val preds: Array[Pred] = Array(Pred.NotNull("everything"), Pred.NotNull("nothing"))
     val support = Array(bm(0 until n), new RoaringBitmap())
-    val tree = QDTree.build(n, preds, support, singletonShapes(0 to 1), minSize = 50)
+    val tree = QDTree.build(n, support, singletonShapes(0 to 1), minSize = 50)
     assert(tree.numLeaves == 1, "no effective predicate => single leaf")
   }
 
@@ -187,8 +193,8 @@ class QDTreeSpec extends AnyFunSuite {
     // off tiny slivers; the balanced variant unions them to approach n/2.
     val rnd = new Random(11)
     val sels = Seq.fill(30)(0.05)
-    val (preds, support) = randomInstance(n, sels, 12)
-    val tree = QDTree.build(n, preds, support, singletonShapes(sels.indices), minSize = 512)
+    val support = randomInstance(n, sels, 12)
+    val tree = QDTree.build(n, support, singletonShapes(sels.indices), minSize = 512)
     assert(tree.numLeaves >= 2)
     // No leaf should hold the overwhelming majority of tuples.
     val maxLeaf = tree.leaves.map(_.size).max
@@ -197,11 +203,10 @@ class QDTreeSpec extends AnyFunSuite {
 
   test("cost function weights queries (Eq. 1)") {
     val n = 100
-    val preds: Array[Pred] = Array(Pred.NotNull("a"))
     val support = Array(bm(0 until 50))
-    val tree = QDTree.build(n, preds, support, singletonShapes(Seq(0), 1), minSize = 10)
-    val light = tree.cost(Seq(RoutedQuery(Seq(Seq(0)), 1)))
-    val heavy = tree.cost(Seq(RoutedQuery(Seq(Seq(0)), 10)))
+    val tree = QDTree.build(n, support, singletonShapes(Seq(0), 1), minSize = 10)
+    val light = cost(tree, Seq(RoutedQuery(Seq(Seq(0)), 1)))
+    val heavy = cost(tree, Seq(RoutedQuery(Seq(Seq(0)), 10)))
     assert(heavy == light * 10)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.engine._
+import repro.harness.Harness
 import repro.workload.Workload
 
 /** nprobe / expansion tuning against exhaustive ground truth. Reuses the
@@ -42,9 +43,23 @@ class TuningSpec extends SparkSpec {
   }
 
   test("tunePostFilter escalates expansion together with nprobe") {
-    val res = Tuning.tunePostFilter(flat(this), sample, gt, target = 0.8, k = sample.k)
+    val res = Tuning.tuneNprobe(flat(this), sample, gt, target = 0.8, k = sample.k,
+                                base = EngineOptions(postFilter = true))
     assert(res.expansion >= 2)
     assert(res.nprobe.keySet == sample.templates.map(_.id).toSet)
+    // Every template sits on a PostFilter step; one expansion serves them all.
+    val expansionAt = Tuning.PostFilterSteps.toMap
+    assert(res.nprobe.values.forall(expansionAt.contains))
+    assert(res.expansion == res.nprobe.values.map(expansionAt).max)
+  }
+
+  test("the harness tunes PostFilter to the same nprobe and expansion with or without vector batching") {
+    val opts = Harness.tuned("PostFilter", flat(this), sample, gt)
+    val batched = Tuning.tuneNprobe(flat(this), sample, gt, Harness.TargetRecall, Harness.K,
+                                    base = EngineOptions(postFilter = true))
+    assert(!opts.vectorBatching && opts.postFilter)
+    assert(opts.nprobe == batched.nprobe)
+    assert(opts.postFilterExpansion == batched.expansion)
   }
 
   test("TuneResult.allReached reflects achieved recalls") {

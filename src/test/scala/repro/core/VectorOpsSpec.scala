@@ -91,15 +91,15 @@ class VectorOpsSpec extends AnyFunSuite {
 
   test("nearest returns the argmin centroid") {
     val cents = Array(Array(0f, 0f), Array(10f, 10f), Array(5f, 5f))
-    assert(VectorOps.nearest(Array(4f, 4f), cents, Metric.L2) == 2)
-    assert(VectorOps.nearest(Array(9f, 9f), cents, Metric.L2) == 1)
+    assert(VectorOps.nearest(Array(4f, 4f), cents) == 2)
+    assert(VectorOps.nearest(Array(9f, 9f), cents) == 1)
   }
 
   test("nearestN returns centroids closest-first and caps at available") {
     val cents = Array(Array(0f), Array(1f), Array(2f), Array(3f))
-    val nn = VectorOps.nearestN(Array(2.2f), cents, 3, Metric.L2)
+    val nn = VectorOps.nearestN(Array(2.2f), cents, 3)
     assert(nn.toSeq == Seq(2, 3, 1))
-    assert(VectorOps.nearestN(Array(0f), cents, 10, Metric.L2).length == 4)
+    assert(VectorOps.nearestN(Array(0f), cents, 10).length == 4)
   }
 
   test("nearestN(1) agrees with nearest over random inputs") {
@@ -107,8 +107,8 @@ class VectorOpsSpec extends AnyFunSuite {
     for (_ <- 0 until 200) {
       val q = randGridVec(rnd, 5)
       val cents = Array.fill(6)(randGridVec(rnd, 5))
-      assert(VectorOps.nearestN(q, cents, 1, Metric.L2).head ==
-             VectorOps.nearest(q, cents, Metric.L2))
+      assert(VectorOps.nearestN(q, cents, 1).head ==
+             VectorOps.nearest(q, cents))
     }
   }
 

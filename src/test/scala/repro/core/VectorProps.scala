@@ -45,7 +45,7 @@ object VectorProps extends Properties("vec") {
 
   property("nearestN is sorted by distance") = Prop.forAll(vec(4), Gen.listOfN(8, vec(4))) { (q, cs) =>
     val cents = cs.toArray
-    val nn = VectorOps.nearestN(q, cents, 5, Metric.L2)
+    val nn = VectorOps.nearestN(q, cents, 5)
     val scores = nn.map(i => Metric.L2.score(q, cents(i)))
     scores.sliding(2).forall { case Array(a, b) => a <= b; case _ => true }
   }

@@ -49,15 +49,16 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("strategyOpts encodes the paper's per-strategy batching defaults") {
-    val hqi = Harness.strategyOpts("HQI", 10)
+    val hqi = Harness.strategyOpts("HQI")
     assert(hqi.vectorBatching && hqi.attrBatching && !hqi.postFilter && !hqi.eagerBitmap)
-    val pre = Harness.strategyOpts("PreFilter", 10)
+    val pre = Harness.strategyOpts("PreFilter")
     assert(!pre.vectorBatching && pre.attrBatching && pre.eagerBitmap)
-    val post = Harness.strategyOpts("PostFilter", 10)
+    val post = Harness.strategyOpts("PostFilter")
     assert(post.postFilter && !post.vectorBatching)
-    val range = Harness.strategyOpts("Range", 10)
+    val range = Harness.strategyOpts("Range")
     assert(!range.vectorBatching && range.attrBatching && !range.eagerBitmap)
-    intercept[IllegalArgumentException](Harness.strategyOpts("nope", 10))
+    assert(Seq(hqi, pre, post, range).forall(_.k == Harness.K))
+    intercept[IllegalArgumentException](Harness.strategyOpts("nope"))
   }
 
   test("Experiments: paper tables carry the published cells") {
