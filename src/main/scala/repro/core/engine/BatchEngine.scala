@@ -92,8 +92,13 @@ object BatchEngine {
   /** Execute a hybrid-query workload against a partitioned index in one
     * distributed pass, per Algorithm 3: one Spark job scans every partition
     * and the driver merges the per-task heaps into one top-k per query.
+    * The workload's metric must be the index's: candidates are scored with
+    * it.
     */
   def run(index: PartitionedIndex, workload: Workload, opts: EngineOptions): EngineRun = {
+    require(workload.metric == index.metric,
+            s"workload metric ${workload.metric.name} does not match the metric of index " +
+            s"${index.name}, ${index.metric.name}")
     val t0 = System.currentTimeMillis()
     val sc = index.cells.sparkContext
 

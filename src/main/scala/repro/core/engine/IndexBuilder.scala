@@ -1,5 +1,7 @@
 package repro.core.engine
 
+import java.util.stream.IntStream
+
 import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.roaringbitmap.RoaringBitmap
@@ -64,25 +66,46 @@ object IndexBuilder {
     (ids, vecs)
   }
 
+  /** Successive phase times of one build in ms, from one clock: the laps
+    * sum to [[total]].
+    */
+  private final class Laps {
+    private val t0 = now()
+    private var last = t0
+    def lap(): Long = { val t = now(); val ms = t - last; last = t; ms }
+    def total: Long = last - t0
+  }
+
   /** The build step every layout shares. Partition `p` (tuples with
     * `partOf(i) == p`, in id order) gets √|P| IVF cells trained with seed
     * `Seed + p`, or one zero centroid when it is empty; every tuple is
     * assigned its nearest cell, the data is laid out and cached by
     * `(__part, __cluster)`, and its posting lists are decoded and persisted.
+    * Partitions are trained in parallel; each depends only on its own seed
+    * and tuples, so the result does not depend on the order.
     */
   private def build(name: String, db: DataFrame, attrCols: Seq[String], metric: Metric,
                     routing: Routing, ids: Array[Long], vecs: Array[Array[Float]],
-                    partOf: Array[Int], numParts: Int, t0: Long): PartitionedIndex = {
+                    partOf: Array[Int], numParts: Int, laps: Laps,
+                    collectMs: Long, partitionMs: Long): PartitionedIndex = {
     val members = Array.fill(numParts)(new mutable.ArrayBuilder.ofInt)
     for (i <- ids.indices) members(partOf(i)) += i
     val dim = vecs.headOption.fold(1)(_.length)
     val clusterOf = new Array[Int](ids.length)
-    val leaves = Array.tabulate(numParts) { p =>
+    val leaves = new Array[LeafMeta](numParts)
+    val leafNanos = new Array[Long](numParts)
+    IntStream.range(0, numParts).parallel().forEach { p =>
+      val t = System.nanoTime()
       val idxs = members(p).result()
-      val cents = if (idxs.isEmpty) Array(new Array[Float](dim)) else IVF.train(idxs.map(vecs), Seed + p)
-      idxs.foreach(i => clusterOf(i) = IVF.assign(vecs(i), cents))
-      LeafMeta(p, idxs.length.toLong, cents)
+      val pvecs = idxs.map(vecs)
+      val cents = if (idxs.isEmpty) Array(new Array[Float](dim)) else IVF.train(pvecs, Seed + p)
+      val cells = KMeans.assign(pvecs, cents)
+      var j = 0
+      while (j < idxs.length) { clusterOf(idxs(j)) = cells(j); j += 1 }
+      leaves(p) = LeafMeta(p, idxs.length.toLong, cents)
+      leafNanos(p) = System.nanoTime() - t
     }
+    val leafIvfMs = laps.lap()
     // `ids` is sorted, so one binary search finds a row's tuple index.
     val place = udf { (id: Long) =>
       val i = java.util.Arrays.binarySearch(ids, id)
@@ -96,7 +119,9 @@ object IndexBuilder {
       .cache()
     val cells = BatchEngine.decode(data, attrCols).persist()
     cells.count()
-    new PartitionedIndex(name, data, cells, attrCols, metric, leaves, routing, now() - t0)
+    val phases = BuildPhases(collectMs, partitionMs, leafIvfMs, leafNanos.sum / 1000000L,
+                             leafNanos.max / 1000000L, laps.lap())
+    new PartitionedIndex(name, data, cells, attrCols, metric, leaves, routing, laps.total, phases)
   }
 
   /** Strategy B/D layout: one logical partition, a single IVF with √n cells
@@ -105,9 +130,10 @@ object IndexBuilder {
     */
   def buildFlat(db: DataFrame, attrCols: Seq[String], metric: Metric,
                 name: String = "PreFilter"): PartitionedIndex = {
-    val t0 = now()
+    val laps = new Laps
     val (ids, vecs) = collectVectors(db)((_, _) => ())
-    build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1, t0)
+    build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1,
+          laps, laps.lap(), 0L)
   }
 
   /** Strategy C layout: equi-depth range partitions on `rangeAttr`, one IVF
@@ -115,7 +141,7 @@ object IndexBuilder {
     */
   def buildRange(db: DataFrame, attrCols: Seq[String], metric: Metric,
                  rangeAttr: String, numParts: Int): PartitionedIndex = {
-    val t0 = now()
+    val laps = new Laps
     val probs = (1 until numParts).map(_.toDouble / numParts).toArray
     val cuts = db.stat.approxQuantile(rangeAttr, probs, 0.001)
     val edges = (Double.NegativeInfinity +: cuts.toIndexedSeq) :+ Double.PositiveInfinity
@@ -124,10 +150,11 @@ object IndexBuilder {
       while (b < numParts - 1 && v >= cuts(b)) b += 1
       b
     }
+    val partitionMs = laps.lap()
     val parts = new mutable.ArrayBuilder.ofInt
     val (ids, vecs) = collectVectors(db, Seq(coalesce(bucket(col(rangeAttr)), lit(0))))((_, r) => parts += r.getInt(2))
     build("Range", db, attrCols, metric, Routing.ByRange(rangeAttr, edges.zip(edges.tail)),
-          ids, vecs, parts.result(), numParts, t0)
+          ids, vecs, parts.result(), numParts, laps, laps.lap(), partitionMs)
   }
 
   /** HQI (§4): balanced qd-tree over the historical workload's predicates
@@ -140,7 +167,7 @@ object IndexBuilder {
     if (history.queries.isEmpty)
       return buildFlat(db, attrCols, metric, name = "HQI")
 
-    val t0 = now()
+    val laps = new Laps
     // Extract cut predicates from the workload, deduplicated by value.
     val attrPreds: Array[Pred] = history.templates.flatMap(_.preds).distinct.toArray
 
@@ -155,6 +182,7 @@ object IndexBuilder {
       }
     }
     val n = ids.length
+    val collectMs = laps.lap()
 
     // §4.1.1: global centroid attribute t.c (only when centroid routing is on).
     val centroidRouting: Option[Routing.CentroidRouting] =
@@ -169,8 +197,9 @@ object IndexBuilder {
     // Centroid predicate supports come from the driver-side assignment.
     val centroidSupport = Array.fill(centroidPreds.length)(new RoaringBitmap())
     centroidRouting.foreach { c =>
+      val nearest = KMeans.assign(vecs, c.global)
       var t = 0
-      while (t < n) { centroidSupport(IVF.assign(vecs(t), c.global)).add(t); t += 1 }
+      while (t < n) { centroidSupport(nearest(t)).add(t); t += 1 }
     }
     val support: Array[RoaringBitmap] = attrSupport ++ centroidSupport
 
@@ -183,6 +212,6 @@ object IndexBuilder {
 
     val tree = QDTree.build(n, support, shapes, opts.minSize)
     build("HQI", db, attrCols, metric, routing.copy(semantics = tree.leaves.map(_.semantic)),
-          ids, vecs, tree.leafOfTuple, tree.numLeaves, t0)
+          ids, vecs, tree.leafOfTuple, tree.numLeaves, laps, collectMs, laps.lap())
   }
 }

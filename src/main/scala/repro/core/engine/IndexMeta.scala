@@ -88,6 +88,24 @@ object Routing {
   */
 final case class LeafMeta(partId: Int, size: Long, centroids: Array[Array[Float]])
 
+/** Wall time of each phase of an index build, in ms. The four wall phases
+  * (collect, partition, leaf IVF, layout) are disjoint laps of one clock,
+  * so they sum to [[PartitionedIndex.buildMillis]].
+  *
+  * @param collectMs    the `(id, vec)` collect, with every predicate's
+  *                     support evaluated in the same pass (HQI)
+  * @param partitionMs  choosing each tuple's partition: global centroids and
+  *                     qd-tree (HQI), equi-depth cuts (Range), none (flat)
+  * @param leafIvfMs    per-partition IVF training and cell assignment (wall;
+  *                     partitions train in parallel)
+  * @param leafIvfSumMs the same work summed over partitions
+  * @param leafIvfMaxMs the slowest partition's share of it
+  * @param layoutMs     layout columns, repartition, cache and posting-list
+  *                     decode (materialize)
+  */
+final case class BuildPhases(collectMs: Long, partitionMs: Long, leafIvfMs: Long,
+                             leafIvfSumMs: Long, leafIvfMaxMs: Long, layoutMs: Long)
+
 /** A built, partitioned vector index: the physical layout lives in `data`
   * (columns `id, vec, <attrs…>, __part, __cluster`, repartitioned and cached
   * by `(__part, __cluster)`), its decoded posting lists in `cells` (one
@@ -102,7 +120,8 @@ final class PartitionedIndex(val name: String,
                              val metric: Metric,
                              val leaves: Array[LeafMeta],
                              val routing: Routing,
-                             val buildMillis: Long) extends Serializable {
+                             val buildMillis: Long,
+                             val buildPhases: BuildPhases) extends Serializable {
 
   val leafById: Map[Int, LeafMeta] = leaves.map(l => l.partId -> l).toMap
 

@@ -28,8 +28,9 @@ object IVF {
     // index — the asymmetry behind the paper's Table 4.
     KMeans.train(vectors, KMeans.sqrtCells(vectors.length.toLong), seed = seed, sampleCap = Int.MaxValue)
 
-  /** Cell assignment for a single vector (used identically at build time and
-    * when computing probe lists, so layout and probing agree).
+  /** Cell assignment for a single vector: the rule the index builder's
+    * batched [[KMeans.assign]] reproduces bit for bit for every row, so a
+    * row's `__cluster` is always `assign(row.vec, leaf centroids)`.
     */
   def assign(vec: Array[Float], centroids: Array[Array[Float]]): Int =
     VectorOps.nearest(vec, centroids)

@@ -6,7 +6,8 @@ import jdk.incubator.vector.{FloatVector, VectorOperators, VectorSpecies}
   * of row `j` is `x(t * stride + j)`. `stride` is `n` rounded up to the
   * kernel's lane count, so the kernel only ever reads whole lane vectors;
   * the padding rows are zero and their scores are never pushed.
-  * `ids` and `x` may be longer than the block (reused scratch buffers).
+  * `ids` and `x` may be longer than the block (reused scratch buffers);
+  * `ids` is empty where only scores are read (k-means).
   */
 final class Block(val ids: Array[Long], val n: Int, val d: Int, val x: Array[Float]) extends Serializable {
   val stride: Int = Block.stride(n)
@@ -35,7 +36,8 @@ object Block {
 }
 
 /** The one score kernel (Algorithm 3's "single matrix multiplication"), used
-  * for every score of a pass: batched and per-query scans and cell ranking.
+  * for every score of a pass (batched and per-query scans and cell ranking)
+  * and every centroid score of an index build ([[KMeans]]).
   * One instance per thread; scratch buffers grow on demand and are reused,
   * so the hot loop allocates nothing but the small [[Block]] headers of
   * gathers.

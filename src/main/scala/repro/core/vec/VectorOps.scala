@@ -31,8 +31,10 @@ object Metric {
 
 /** Scalar float vector kernels. [[l2Sq]] and [[dot]] define
   * [[Metric.score]], which [[BatchScorer]] reproduces bit for bit;
-  * [[nearest]] and [[nearestN]] are the L2 centroid lookups of k-means, IVF
-  * assignment and centroid routing.
+  * [[nearest]] is the one-vector L2 centroid rule of
+  * [[repro.core.ivf.IVF.assign]], which [[KMeans.assign]] reproduces for
+  * many vectors at once, and [[nearestN]] the `m` nearest global centroids
+  * of centroid routing.
   */
 object VectorOps {
 

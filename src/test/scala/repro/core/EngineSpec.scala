@@ -234,6 +234,12 @@ class EngineSpec extends SparkSpec {
     for (make <- bad) intercept[IllegalArgumentException](make())
   }
 
+  test("a workload whose metric is not the index's is rejected, naming both") {
+    val w = history(this).copy(metric = Metric.L2)
+    val e = intercept[IllegalArgumentException](BatchEngine.run(hqi(this), w, EngineOptions()))
+    assert(e.getMessage.contains("L2") && e.getMessage.contains("IP"), e.getMessage)
+  }
+
   test("work counters are identical across two passes of the same workload") {
     for ((strategy, index) <- Seq("HQI" -> hqi(this), "PreFilter" -> flat(this), "PostFilter" -> flat(this))) {
       val opts = Harness.strategyOpts(strategy).copy(defaultNprobe = 4)

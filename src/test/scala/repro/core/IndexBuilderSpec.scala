@@ -147,6 +147,40 @@ class IndexBuilderSpec extends SparkSpec {
     idx.unpersist()
   }
 
+  test("parallel leaf training gives the centroids and __cluster of a sequential IVF.train and IVF.assign loop") {
+    val idx = IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, history, HQIOptions(minSize = 64))
+    assert(idx.numPartitions > 8)
+    val rows = idx.data.select("vec", IndexBuilder.PartCol, IndexBuilder.ClusterCol).orderBy("id").collect()
+      .map(r => (r.getSeq[Float](0).toArray, r.getInt(1), r.getInt(2)))
+    def bits(cents: Array[Array[Float]]): Seq[Seq[Int]] =
+      cents.map(_.map(java.lang.Float.floatToRawIntBits).toSeq).toSeq
+    val cluster = new Array[Int](rows.length)
+    for (l <- idx.leaves) {
+      val members = rows.indices.filter(i => rows(i)._2 == l.partId)
+      val cents =
+        if (members.isEmpty) Array(new Array[Float](8)) else IVF.train(members.map(rows(_)._1).toArray, 7 + l.partId)
+      assert(bits(l.centroids) == bits(cents), s"leaf ${l.partId}")
+      for (i <- members) cluster(i) = IVF.assign(rows(i)._1, cents)
+    }
+    assert(rows.map(_._3).toSeq == cluster.toSeq)
+    idx.unpersist()
+  }
+
+  test("build phases are non-negative and their wall times sum to at most the build time") {
+    val layouts = Seq(
+      IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP),
+      IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, history, HQIOptions(minSize = 256, m = 2)),
+      IndexBuilder.buildRange(bg, Bigann.AttrCols, Metric.L2, "a", numParts = 8))
+    for (idx <- layouts) {
+      val p = idx.buildPhases
+      val all = Seq(p.collectMs, p.partitionMs, p.leafIvfMs, p.leafIvfSumMs, p.leafIvfMaxMs, p.layoutMs)
+      assert(all.forall(_ >= 0), s"${idx.name}: $p")
+      assert(p.collectMs + p.partitionMs + p.leafIvfMs + p.layoutMs <= idx.buildMillis, s"${idx.name}: $p")
+      assert(p.leafIvfMaxMs <= p.leafIvfSumMs, s"${idx.name}: $p")
+      idx.unpersist()
+    }
+  }
+
   test("layout columns do not disturb the original attribute columns") {
     val idx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
     val got = idx.data.select("id", "etype", "popularity").collect()

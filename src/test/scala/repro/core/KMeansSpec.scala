@@ -76,21 +76,46 @@ class KMeansSpec extends AnyFunSuite {
     assert(cents.length == 8)
   }
 
+  private def bits(cents: Array[Array[Float]]): Seq[Seq[Int]] =
+    cents.map(_.map(java.lang.Float.floatToRawIntBits).toSeq).toSeq
+
   test("train matches the metric-generic k-means it replaced, run with L2, bit for bit") {
     val rnd = new Random(6)
     val random = Array.fill(300)(Array.fill(5)(rnd.nextGaussian().toFloat * 3))
     // Coordinates on a 1/8 grid in [0, 1): many duplicate points and tied
     // distances, so seeding and assignment hit their tie rules.
     val grid = Array.fill(400)(Array.fill(3)(rnd.nextInt(8) / 8f))
-    def bits(cents: Array[Array[Float]]): Seq[Seq[Int]] =
-      cents.map(_.map(java.lang.Float.floatToRawIntBits).toSeq).toSeq
-    for (data <- Seq(random, grid); k <- Seq(1, KMeans.sqrtCells(data.length), data.length);
+    // n = 4099: not a multiple of 4 (the kernel's query group) and more than
+    // one parallel chunk of points; its √n = 64 cells, and 17 for n = 300,
+    // are not multiples of every lane count.
+    val large = Array.fill(4099)(Array.fill(4)(rnd.nextGaussian().toFloat))
+    val line = Array.fill(257)(Array(rnd.nextGaussian().toFloat)) // d = 1
+    // Six distinct points, many copies each: with more cells than points,
+    // seeding draws duplicates whose clusters come out empty and are re-seeded.
+    val few = Array.fill(6)(Array.fill(2)(rnd.nextInt(8) / 8f))
+    val dups = Array.fill(90)(few(rnd.nextInt(few.length)).clone())
+    var reseeds = 0
+    for (data <- Seq(random, grid, large, line, dups);
+         k <- Seq(1, 3, KMeans.sqrtCells(data.length), data.length);
          seed <- Seq(1L, 42L))
-      assert(bits(KMeans.train(data, k, seed = seed)) == bits(MetricKMeans.train(data, k, Metric.L2, seed)),
-             s"n=${data.length} k=$k seed=$seed")
+      assert(bits(KMeans.train(data, k, seed = seed)) ==
+             bits(MetricKMeans.train(data, k, Metric.L2, seed, onReseed = () => reseeds += 1)),
+             s"n=${data.length} d=${data(0).length} k=$k seed=$seed")
+    assert(reseeds > 0, "no fixture reached the dead-cluster re-seed")
     // The sampleCap path: training on a seeded subsample.
     assert(bits(KMeans.train(random, 12, seed = 3, sampleCap = 100)) ==
            bits(MetricKMeans.train(random, 12, Metric.L2, 3, sampleCap = 100)))
+  }
+
+  test("train returns the same bits on one thread and on three") {
+    val rnd = new Random(9)
+    val data = Array.fill(10000)(Array.fill(6)(rnd.nextGaussian().toFloat))
+    def on(threads: Int): Array[Array[Float]] = {
+      val pool = new java.util.concurrent.ForkJoinPool(threads)
+      try pool.submit(() => KMeans.train(data, 100, seed = 11, sampleCap = Int.MaxValue)).get()
+      finally pool.shutdown()
+    }
+    assert(bits(on(1)) == bits(on(3)))
   }
 
   test("sqrtCells is round(sqrt(n)) with a floor of 1") {
@@ -103,8 +128,10 @@ class KMeansSpec extends AnyFunSuite {
 }
 
 /** k-means as it was when it took a metric: seeding shifts every score by
-  * the minimum so negative (inner-product) scores can weight a draw. Kept
-  * only to show that the L2-only [[KMeans.train]] returns the same bits.
+  * the minimum so negative (inner-product) scores can weight a draw, and
+  * every score is one scalar [[Metric.score]] on one thread. Kept only to
+  * show that the L2-only, batched and parallel [[KMeans.train]] returns the
+  * same bits; `onReseed` runs at each dead-cluster re-seed.
   */
 private object MetricKMeans {
 
@@ -119,7 +146,7 @@ private object MetricKMeans {
   }
 
   def train(vectors: Array[Array[Float]], k: Int, metric: Metric,
-            seed: Long, sampleCap: Int = 50000): Array[Array[Float]] = {
+            seed: Long, sampleCap: Int = 50000, onReseed: () => Unit = () => ()): Array[Array[Float]] = {
     val rnd = new Random(seed)
     val data =
       if (vectors.length <= sampleCap) vectors
@@ -180,6 +207,7 @@ private object MetricKMeans {
           while (j < d) { cv(j) = (sums(ci)(j) / counts(ci)).toFloat; j += 1 }
           centroids(ci) = cv
         } else {
+          onReseed()
           var worst = 0; var worstS = Float.MinValue
           var j = 0
           while (j < data.length) {

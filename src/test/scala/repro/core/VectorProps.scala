@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 
-import repro.core.vec.{BatchScorer, Block, Metric, TopK, VectorOps}
+import repro.core.vec.{BatchScorer, Block, KMeans, Metric, TopK, VectorOps}
 
 /** ScalaCheck property suite for the vector kernels (runs under the
   * scalacheck sbt framework alongside the ScalaTest suites).
@@ -41,6 +41,19 @@ object VectorProps extends Properties("vec") {
       val h = new TopK(k)
       xs.foreach { case (s, id) => h.push(s, id) }
       h.sorted.toSeq == xs.sortBy(t => (t._1, t._2)).take(k)
+    }
+
+  // A coarser 1/8 grid than `vec`, so equal distances to two centroids are
+  // common and the lowest-index tie rule is exercised.
+  private val tieVal: Gen[Float] = Gen.chooseNum(0, 3).map(_ / 8.0f)
+
+  property("batched assignment equals VectorOps.nearest per point, ties included") =
+    Prop.forAll(Gen.chooseNum(1, 6)) { d =>
+      val v = Gen.containerOfN[Array, Float](d, tieVal)
+      Prop.forAll(Gen.listOfN(23, v), Gen.nonEmptyListOf(v)) { (ps, cs) =>
+        val points = ps.toArray; val cents = cs.toArray
+        KMeans.assign(points, cents).toSeq == points.map(VectorOps.nearest(_, cents)).toSeq
+      }
     }
 
   property("nearestN is sorted by distance") = Prop.forAll(vec(4), Gen.listOfN(8, vec(4))) { (q, cs) =>
