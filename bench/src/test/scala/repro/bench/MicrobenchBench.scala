@@ -29,8 +29,8 @@ class MicrobenchBench extends SparkSpec {
 
     val on = BatchEngine.run(flat, history, opts)
     val off = BatchEngine.run(flat, history, opts.copy(attrBatching = false))
-    println(f"\n[micro] attr batching ON : ${on.metrics.wallMillis}%6d ms, filterRows=${on.metrics.filterRows}")
-    println(f"[micro] attr batching OFF: ${off.metrics.wallMillis}%6d ms, filterRows=${off.metrics.filterRows}")
+    println(f"\n[micro] attr batching ON : ${on.metrics.wallMillis}%6.0f ms, filterRows=${on.metrics.filterRows}")
+    println(f"[micro] attr batching OFF: ${off.metrics.wallMillis}%6.0f ms, filterRows=${off.metrics.filterRows}")
     assert(off.metrics.filterRows > on.metrics.filterRows * 3,
            "no-batching must repeat per-query filter evaluation (paper: 300× runtime effect)")
     // results identical
@@ -84,8 +84,8 @@ class MicrobenchBench extends SparkSpec {
     val perQuery = sizes.map { bs =>
       val w = history.copy(queries = t4.take(bs))
       val run = BatchEngine.run(hqi, w, opts)
-      val pq = run.metrics.wallMillis.toDouble / bs
-      println(f"[micro] batch size $bs%3d: ${run.metrics.wallMillis}%5d ms (${pq}%8.1f ms/query)")
+      val pq = run.metrics.wallMillis / bs
+      println(f"[micro] batch size $bs%3d: ${run.metrics.wallMillis}%5.0f ms (${pq}%8.1f ms/query)")
       pq
     }
     assert(perQuery.head > 0)

@@ -5,9 +5,8 @@ import org.apache.spark.sql.DataFrame
 
 import scala.collection.mutable
 
-import repro.core.ivf.IVF
 import repro.core.qdtree.Pred
-import repro.core.vec.{BatchScorer, Block, Metric, TopK}
+import repro.core.vec.{BatchScorer, Block, TopK}
 import repro.workload.Workload
 
 /** Execution options for one batch pass (Algorithm 3 plus the §2.2 baseline
@@ -50,7 +49,26 @@ final case class EngineOptions(k: Int = 10,
   def heapK: Int = if (postFilter) k * postFilterExpansion else k
 }
 
-/** Work counters for one batch pass.
+/** Wall time of each phase of a batch pass, in ms: successive laps of one
+  * monotonic clock, so they sum to [[EngineMetrics.wallMillis]].
+  *
+  * @param rankMs      routing every query and ranking its cells (driver)
+  * @param probesMs    building the probe table (driver)
+  * @param broadcastMs broadcasting the plan (driver)
+  * @param jobMs       the Spark job: every task's scan, and collecting its
+  *                    result
+  * @param mergeMs     the global top-k merge (driver)
+  * @param resultsMs   building [[EngineRun.results]] and the counters
+  *                    (driver)
+  */
+final case class PassPhases(rankMs: Double, probesMs: Double, broadcastMs: Double,
+                            jobMs: Double, mergeMs: Double, resultsMs: Double) {
+  def describe: String =
+    f"rank=$rankMs%.1f probes=$probesMs%.1f broadcast=$broadcastMs%.1f job=$jobMs%.1f " +
+    f"merge=$mergeMs%.1f results=$resultsMs%.1f ms"
+}
+
+/** Work counters and timings for one batch pass.
   *
   * @param tuplesScanned  posting-list entries visited, summed per query (the
   *                       paper's "number of tuples scanned")
@@ -58,39 +76,39 @@ final case class EngineOptions(k: Int = 10,
   * @param filterRows     tuple-level predicate evaluations performed
   * @param routedTuples   Σ over queries of the sizes of partitions routed to
   *                       (the pruning-power numerator of Fig. 5)
+  * @param wallMillis     the pass's wall time, from `System.nanoTime`
+  * @param phases         `wallMillis` split into the pass's phases
   */
 final case class EngineMetrics(tuplesScanned: Long,
                                distComps: Long,
                                filterRows: Long,
                                routedTuples: Long,
-                               wallMillis: Long)
+                               wallMillis: Double,
+                               phases: PassPhases)
 
 /** Result of a batch pass: per query, the top-k `(id, score)` best-first. */
 final case class EngineRun(results: Map[Long, Array[(Long, Float)]], metrics: EngineMetrics)
 
 object BatchEngine {
 
-  /** Serializable plan shipped to executors. Probe keys pack (part, cell). */
-  private final case class ExecPlan(queryTids: Array[Int],
-                                    queryVecs: Array[Array[Float]],
-                                    templates: Map[Int, Seq[Pred]],
-                                    probes: Map[Long, Array[Int]],
-                                    metric: Metric,
-                                    opts: EngineOptions)
-
   /** One task's output: its per-query heaps flattened into parallel arrays of
     * (query index, score, id, whether the id satisfies the query's template),
-    * plus the task's work counters. Returned as the task result, so each
-    * counter is added exactly once per partition.
+    * in ascending query index, plus the task's work counters. Returned as the
+    * task result, so each counter is added exactly once per partition.
     */
   private final case class TaskResult(qis: Array[Int], scores: Array[Float], ids: Array[Long],
                                       matches: Array[Boolean],
                                       tuplesScanned: Long, distComps: Long, filterRows: Long)
 
-  private[engine] def key(part: Int, cell: Int): Long = (part.toLong << 32) | (cell.toLong & 0xffffffffL)
+  /** Each partition's first dense cell index: partition `p`'s cell `c` is
+    * dense cell `cellBase(p) + c`, and `cellBase(leaves.length)` counts
+    * every cell. Dense indices order cells as `(partition, cell)` does.
+    */
+  private[engine] def cellBase(leaves: Array[LeafMeta]): Array[Int] = leaves.scanLeft(0)(_ + _.centroids.length)
 
   /** Execute a hybrid-query workload against a partitioned index in one
-    * distributed pass, per Algorithm 3: one Spark job scans every partition
+    * distributed pass, per Algorithm 3: the driver plans the pass as
+    * primitive arrays ([[PassPlan]]), one Spark job scans every partition,
     * and the driver merges the per-task heaps into one top-k per query.
     * The workload's metric must be the index's: candidates are scored with
     * it.
@@ -99,106 +117,104 @@ object BatchEngine {
     require(workload.metric == index.metric,
             s"workload metric ${workload.metric.name} does not match the metric of index " +
             s"${index.name}, ${index.metric.name}")
-    val t0 = System.currentTimeMillis()
-    val sc = index.cells.sparkContext
+    val t0 = System.nanoTime()
+    var last = t0
+    def lap(): Double = { val t = System.nanoTime(); val ms = (t - last) / 1e6; last = t; ms }
 
-    // ---- Driver planning: route queries to partitions, pick probe cells. ----
-    val nq = workload.queries.length
-    val qQids = new Array[Long](nq)
-    val qTids = new Array[Int](nq)
-    val qVecs = new Array[Array[Float]](nq)
-    var routedTuples = 0L
-    val probes = mutable.HashMap.empty[Long, mutable.ArrayBuilder.ofInt]
-    // Routes are per template, computed once here, unless they depend on the
-    // query vector (centroid routing, m > 0). An exhaustive pass visits every
-    // partition.
-    val routing = if (opts.exhaustive) Routing.All else index.routing
-    val perQuery = routing.perQuery
-    val templateRoutes: Map[Int, Seq[Int]] =
-      workload.templates.map(t => t.id -> routing.route(t.preds, None, index.numPartitions)).toMap
+    // ---- Driver planning: route queries, rank cells, build the probe table. ----
+    val ranked = PassPlan.rank(index, workload, opts)
+    val rankMs = lap()
+    val (cellOff, cellQueries) = PassPlan.probeTable(ranked, index.cellBase(index.numPartitions), workload.templates)
+    val probesMs = lap()
+    val planB = index.cells.sparkContext.broadcast(ExecPlan(
+      ranked.tids, ranked.vecs, ranked.d, workload.templates.map(t => t.id -> t.preds).toMap,
+      cellOff, cellQueries, index.metric, opts))
+    try {
+      val broadcastMs = lap()
 
-    // Per-query probe selection. nprobe counts cells *globally across the
-    // query's routed partitions*, ranked by centroid distance — per-partition
-    // IVFs behave as one IVF over the union of their centroids, which keeps
-    // nprobe semantics comparable across single- and multi-partition layouts.
-    val perQueryCells = new Array[Array[Long]](nq)
-    val routedSizes = new Array[Long](nq)
-    val centroidBlocks = index.centroidBlocks
-    val scorers = ThreadLocal.withInitial(() => new BatchScorer)
-    val planQuery: java.util.function.IntConsumer = { qi =>
-      val q = workload.queries(qi)
-      qQids(qi) = q.qid; qTids(qi) = q.templateId; qVecs(qi) = q.vec
-      val routed: Seq[Int] =
-        if (perQuery) index.route(workload.templateById(q.templateId), q.vec) else templateRoutes(q.templateId)
-      routedSizes(qi) = routed.iterator.map(index.leafById(_).size).sum
-      if (opts.exhaustive) {
-        perQueryCells(qi) = routed.iterator.flatMap { part =>
-          index.leafById(part).centroids.indices.iterator.map(c => key(part, c))
-        }.toArray
-      } else {
-        val np = opts.nprobe.getOrElse(q.templateId, opts.defaultNprobe)
-        val heap = new TopK(np)
-        val scorer = scorers.get()
-        val qv = Array(q.vec)
-        for (part <- routed) {
-          val cents = centroidBlocks(part)
-          scorer.push(heap, scorer.scores(qv, cents, IVF.AssignMetric), 0, cents)
-        }
-        perQueryCells(qi) = Array.tabulate(heap.size)(heap.idAt)
+      // ---- Distributed scan (Algorithm 3 per Spark partition), one job. ----
+      val attrCols = index.attrCols
+      val parts = index.cells.mapPartitions { it =>
+        Iterator.single(scanPartition(it.next(), planB.value, attrCols))
+      }.collect()
+      val jobMs = lap()
+
+      // ---- Global top-k merge on the driver. ----
+      val nq = ranked.tids.length
+      val k = opts.k
+      val kept = new Array[Int](nq)
+      val keptIds = new Array[Long](nq * k)
+      val keptScores = new Array[Float](nq * k)
+      val mergeChunk: java.util.function.IntConsumer = { ch =>
+        merge(parts, ch * MergeChunk, math.min(nq, (ch + 1) * MergeChunk), opts, kept, keptIds, keptScores)
       }
-    }
-    // Cell ranking over routed partitions is the planning hot loop —
-    // parallelize it across the driver's cores. `planQuery` is the stream's
-    // consumer itself: behind a wrapper lambda the JIT at times left it in
-    // profiled C1 code for a whole run, and planning took 4× as long.
-    java.util.stream.IntStream.range(0, nq).parallel().forEach(planQuery)
+      java.util.stream.IntStream.range(0, (nq + MergeChunk - 1) / MergeChunk).parallel().forEach(mergeChunk)
+      val mergeMs = lap()
 
-    var qi = 0
-    while (qi < nq) {
-      routedTuples += routedSizes(qi)
-      val cs = perQueryCells(qi)
-      var ci = 0
-      while (ci < cs.length) {
-        probes.getOrElseUpdate(cs(ci), new mutable.ArrayBuilder.ofInt) += qi
-        ci += 1
+      val results = Map.newBuilder[Long, Array[(Long, Float)]]
+      var qi = 0
+      while (qi < nq) {
+        if (kept(qi) > 0)
+          results += ranked.qids(qi) -> Array.tabulate(kept(qi))(i => (keptIds(qi * k + i), keptScores(qi * k + i)))
+        qi += 1
+      }
+      val run = results.result()
+      val counters = (parts.map(_.tuplesScanned).sum, parts.map(_.distComps).sum, parts.map(_.filterRows).sum)
+      val resultsMs = lap()
+      EngineRun(run, EngineMetrics(counters._1, counters._2, counters._3, ranked.routedTuples, (last - t0) / 1e6,
+                                   PassPhases(rankMs, probesMs, broadcastMs, jobMs, mergeMs, resultsMs)))
+    } finally planB.destroy()
+  }
+
+  /** Queries per parallel task of the merge. */
+  private val MergeChunk = 512
+
+  /** The global top-k of queries `lo until hi`: query `q` keeps
+    * `kept(q)` results, best-first at `keptIds`/`keptScores` from `q * k`.
+    * Every task emits its heaps in query order, so a cursor per task walks
+    * them together: each query's entries from all tasks go to one scratch
+    * run, whose best heapK are sorted to its front. Strategy D keeps the
+    * global top-heapK first and filters afterwards, so candidates failing
+    * their template only drop out here.
+    */
+  private def merge(parts: Array[TaskResult], lo: Int, hi: Int, opts: EngineOptions,
+                    kept: Array[Int], keptIds: Array[Long], keptScores: Array[Float]): Unit = {
+    val k = opts.k
+    val cap = parts.length * opts.heapK
+    val scores = new Array[Float](cap)
+    val ids = new Array[Long](cap)
+    val matches = new Array[Boolean](cap)
+    // Each task's first entry for query `lo` or later.
+    val cursor = parts.map { p =>
+      var a = 0; var b = p.qis.length
+      while (a < b) { val mid = (a + b) >>> 1; if (p.qis(mid) < lo) a = mid + 1 else b = mid }
+      a
+    }
+    var qi = lo
+    while (qi < hi) {
+      var m = 0
+      var t = 0
+      while (t < parts.length) {
+        val p = parts(t)
+        var c = cursor(t)
+        while (c < p.qis.length && p.qis(c) == qi) {
+          scores(m) = p.scores(c); ids(m) = p.ids(c); matches(m) = p.matches(c)
+          m += 1; c += 1
+        }
+        cursor(t) = c
+        t += 1
+      }
+      TopK.sort(scores, ids, matches, 0, m, opts.heapK)
+      var i = 0
+      while (i < math.min(m, opts.heapK) && kept(qi) < k) {
+        if (matches(i)) {
+          keptIds(qi * k + kept(qi)) = ids(i); keptScores(qi * k + kept(qi)) = scores(i)
+          kept(qi) += 1
+        }
+        i += 1
       }
       qi += 1
     }
-
-    val plan = ExecPlan(
-      qTids, qVecs,
-      workload.templates.map(t => t.id -> t.preds).toMap,
-      probes.iterator.map { case (k, b) => k -> b.result() }.toMap,
-      index.metric, opts)
-    val planB = sc.broadcast(plan)
-
-    // ---- Distributed scan (Algorithm 3 per Spark partition), one job. ----
-    val attrCols = index.attrCols
-    val parts = index.cells.mapPartitions { it =>
-      Iterator.single(scanPartition(it.next(), planB.value, attrCols))
-    }.collect()
-
-    // ---- Global top-k merge on the driver: one heap per query. ----
-    // Strategy D keeps the global top-heapK first and filters afterwards, so
-    // candidates failing their template only drop out after the merge.
-    val heaps = new Array[TopK](nq)
-    val rejected = mutable.HashSet.empty[(Int, Long)]
-    for (p <- parts; i <- p.qis.indices) {
-      val qi = p.qis(i)
-      if (heaps(qi) == null) heaps(qi) = new TopK(opts.heapK)
-      heaps(qi).push(p.scores(i), p.ids(i))
-      if (!p.matches(i)) rejected += ((qi, p.ids(i)))
-    }
-    val results = (for {
-      qi <- 0 until nq if heaps(qi) != null
-      kept = heaps(qi).sorted.filterNot(c => rejected((qi, c._2))).take(opts.k)
-      if kept.nonEmpty
-    } yield qQids(qi) -> kept.map { case (score, id) => (id, score) }).toMap
-
-    val wall = System.currentTimeMillis() - t0
-    planB.destroy()
-    EngineRun(results, EngineMetrics(parts.map(_.tuplesScanned).sum, parts.map(_.distComps).sum,
-                                     parts.map(_.filterRows).sum, routedTuples, wall))
   }
 
   /** One IVF cell's posting list as resident in an index: its rows' ids and
@@ -208,10 +224,12 @@ object BatchEngine {
   private[engine] final class Cell(val block: Block, val attrs: Array[Array[Any]]) extends Serializable
 
   /** Decode an index layout's rows into its posting lists: per Spark
-    * partition, one [[Cell]] per probe key `(__part, __cluster)` holding that
-    * partition's rows of the cell, with the attributes in `attrCols` order.
+    * partition, one [[Cell]] per dense cell index (`cellBase(__part) +
+    * __cluster`) holding that partition's rows of the cell, with the
+    * attributes in `attrCols` order.
     */
-  private[engine] def decode(data: DataFrame, attrCols: Seq[String]): RDD[mutable.HashMap[Long, Cell]] = {
+  private[engine] def decode(data: DataFrame, attrCols: Seq[String],
+                             cellBase: Array[Int]): RDD[mutable.HashMap[Int, Cell]] = {
     val schema = data.schema
     val idIdx = schema.fieldIndex("id")
     val vecIdx = schema.fieldIndex("vec")
@@ -219,16 +237,16 @@ object BatchEngine {
     val clusterIdx = schema.fieldIndex(IndexBuilder.ClusterCol)
     val rowIdx: Array[Int] = attrCols.map(schema.fieldIndex).toArray
     data.rdd.mapPartitions { rows =>
-      val built = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Long, Array[Float], Array[Any])]]
+      val built = mutable.HashMap.empty[Int, mutable.ArrayBuffer[(Long, Array[Float], Array[Any])]]
       rows.foreach { r =>
-        val k = key(r.getInt(partIdx), r.getInt(clusterIdx))
+        val cell = cellBase(r.getInt(partIdx)) + r.getInt(clusterIdx)
         val attrs = new Array[Any](rowIdx.length)
         var i = 0
         while (i < rowIdx.length) {
           attrs(i) = if (r.isNullAt(rowIdx(i))) null else r.get(rowIdx(i))
           i += 1
         }
-        built.getOrElseUpdate(k, mutable.ArrayBuffer.empty) +=
+        built.getOrElseUpdate(cell, mutable.ArrayBuffer.empty) +=
           ((r.getLong(idIdx), r.getSeq[Float](vecIdx).toArray, attrs))
       }
       Iterator.single(built.map { case (k, b) =>
@@ -239,9 +257,10 @@ object BatchEngine {
 
   /** Per-Spark-partition execution over the partition's decoded posting
     * lists: evaluate each (filter, cell) query group — one filter pass
-    * (bitmap) and one batched score kernel per group.
+    * (bitmap) and one batched score kernel per group. A cell's queries come
+    * from the plan's probe table already grouped by template.
     */
-  private def scanPartition(cells: mutable.HashMap[Long, Cell], plan: ExecPlan,
+  private def scanPartition(cells: mutable.HashMap[Int, Cell], plan: ExecPlan,
                             attrCols: Seq[String]): TaskResult = {
     var tuplesScanned = 0L; var distComps = 0L; var filterRows = 0L
     // Compile each template's predicates against positions in the per-row
@@ -270,12 +289,12 @@ object BatchEngine {
 
     // Strategy B's full-dataset bitmap construction: every template's filter
     // over every local tuple, up front.
-    val eagerMasks: Map[(Long, Int), Array[Boolean]] =
+    val eagerMasks: Map[(Int, Int), Array[Boolean]] =
       if (!plan.opts.eagerBitmap) Map.empty
       else (for {
-        (ck, cell) <- cells.iterator
+        (c, cell) <- cells.iterator
         (tid, preds) <- compiled.iterator
-      } yield (ck, tid) -> evalFilter(preds, cell)).toMap
+      } yield (c, tid) -> evalFilter(preds, cell)).toMap
 
     val heaps = new Array[TopK](plan.queryTids.length)
     def heapOf(qi: Int): TopK = {
@@ -284,20 +303,26 @@ object BatchEngine {
     }
     val scorer = new BatchScorer
     var survivors = new Array[Int](0)
+    val qs = plan.cellQueries
 
-    for ((ck, cell) <- cells; qidxs <- plan.probes.get(ck)) {
+    for ((c, cell) <- cells) {
       val block = cell.block
-      val byTemplate = qidxs.groupBy(plan.queryTids(_))
-      for ((tid, qs) <- byTemplate) {
-        tuplesScanned += block.n.toLong * qs.length
+      var from = plan.cellOff(c)
+      while (from < plan.cellOff(c + 1)) {
+        // The run [from, until) of this cell's queries with template `tid`.
+        val tid = plan.queryTids(qs(from))
+        var until = from + 1
+        while (until < plan.cellOff(c + 1) && plan.queryTids(qs(until)) == tid) until += 1
+        val group = until - from
+        tuplesScanned += block.n.toLong * group
         val mask: Array[Boolean] =
           if (plan.opts.postFilter) null
-          else if (plan.opts.eagerBitmap) eagerMasks((ck, tid))
+          else if (plan.opts.eagerBitmap) eagerMasks((c, tid))
           else if (plan.opts.attrBatching) evalFilter(compiled(tid), cell)
           else {
             // No attribute batching: each query pays its own filter pass.
             var m: Array[Boolean] = null
-            qs.foreach(_ => m = evalFilter(compiled(tid), cell))
+            for (_ <- 0 until group) m = evalFilter(compiled(tid), cell)
             m
           }
         // The candidates are the posting list ∩ filter bitmap (§4.2
@@ -311,17 +336,21 @@ object BatchEngine {
         }
         val cand = if (mask == null || count == block.n) block else scorer.gather(block, survivors, count)
         if (cand.n > 0) {
-          distComps += cand.n.toLong * qs.length
+          distComps += cand.n.toLong * group
           // Algorithm 3 scores the whole query group with one kernel call;
           // the per-query baseline (Strategies B/C/D) calls it once per
           // query, sharing no score pass across queries.
-          val batches = if (plan.opts.vectorBatching) Iterator.single(qs) else qs.iterator.map(Array(_))
-          for (batch <- batches) {
-            val flat = scorer.scores(batch.map(plan.queryVecs(_)), cand, plan.metric)
-            var a = 0
-            while (a < batch.length) { scorer.push(heapOf(batch(a)), flat, a * cand.stride, cand); a += 1 }
+          val batch = if (plan.opts.vectorBatching) group else 1
+          var b = from
+          while (b < until) {
+            val end = b + batch
+            val flat = scorer.scores(plan.queryVecs, plan.d, qs, b, end, cand, plan.metric)
+            var a = b
+            while (a < end) { scorer.push(heapOf(qs(a)), flat, (a - b) * cand.stride, cand); a += 1 }
+            b = end
           }
         }
+        from = until
       }
     }
 

@@ -117,7 +117,7 @@ object IndexBuilder {
       .drop("__place")
       .repartition(db.sparkSession.sparkContext.defaultParallelism, col(PartCol), col(ClusterCol))
       .cache()
-    val cells = BatchEngine.decode(data, attrCols).persist()
+    val cells = BatchEngine.decode(data, attrCols, BatchEngine.cellBase(leaves)).persist()
     cells.count()
     val phases = BuildPhases(collectMs, partitionMs, leafIvfMs, leafNanos.sum / 1000000L,
                              leafNanos.max / 1000000L, laps.lap())

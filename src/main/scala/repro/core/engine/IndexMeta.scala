@@ -7,7 +7,7 @@ import scala.collection.immutable.BitSet
 import scala.collection.mutable
 
 import repro.core.qdtree.{Pred, QDTree}
-import repro.core.vec.{Block, Metric, VectorOps}
+import repro.core.vec.{Metric, VectorOps}
 import repro.workload.Template
 
 /** Which partitions a conjunction of predicates can touch — the one pruning
@@ -109,13 +109,13 @@ final case class BuildPhases(collectMs: Long, partitionMs: Long, leafIvfMs: Long
 /** A built, partitioned vector index: the physical layout lives in `data`
   * (columns `id, vec, <attrs…>, __part, __cluster`, repartitioned and cached
   * by `(__part, __cluster)`), its decoded posting lists in `cells` (one
-  * persisted map from probe key to [[BatchEngine.Cell]] per Spark partition
-  * of `data`, which every batch pass scans), and everything needed for
-  * routing/probing in driver metadata.
+  * persisted map from dense cell index to [[BatchEngine.Cell]] per Spark
+  * partition of `data`, which every batch pass scans), and everything
+  * needed for routing/probing in driver metadata.
   */
 final class PartitionedIndex(val name: String,
                              val data: DataFrame,
-                             private[engine] val cells: RDD[mutable.HashMap[Long, BatchEngine.Cell]],
+                             private[engine] val cells: RDD[mutable.HashMap[Int, BatchEngine.Cell]],
                              val attrCols: Seq[String],
                              val metric: Metric,
                              val leaves: Array[LeafMeta],
@@ -125,14 +125,8 @@ final class PartitionedIndex(val name: String,
 
   val leafById: Map[Int, LeafMeta] = leaves.map(l => l.partId -> l).toMap
 
-  /** Each leaf's IVF centroids as a d-major block whose ids are the cells'
-    * probe keys, for ranking cells with the batch kernel; built once per
-    * index, not once per pass.
-    */
-  @transient private[engine] lazy val centroidBlocks: Map[Int, Block] = leaves.map { l =>
-    val keys = l.centroids.indices.map(c => BatchEngine.key(l.partId, c)).toArray
-    l.partId -> Block(keys, l.centroids, l.centroids.headOption.fold(0)(_.length))
-  }.toMap
+  /** See [[BatchEngine.cellBase]]; leaf `p` is `leaves(p)`. */
+  private[engine] val cellBase: Array[Int] = BatchEngine.cellBase(leaves)
 
   def numPartitions: Int = leaves.length
   def totalRows: Long = leaves.map(_.size).sum

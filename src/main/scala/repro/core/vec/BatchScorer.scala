@@ -54,11 +54,26 @@ final class BatchScorer {
   private var gids = new Array[Long](0)
 
   def scores(queries: Array[Array[Float]], block: Block, metric: Metric): Array[Float] = {
-    val size = queries.length * block.stride
-    if (size == 0) return Array.emptyFloatArray
-    if (out.length < size) out = new Array[Float](math.max(size, out.length * 2))
+    if (!reserve(queries.length * block.stride)) return Array.emptyFloatArray
     Kernel.scores(queries, block, metric == Metric.L2, out)
     out
+  }
+
+  /** [[scores]] of the queries `qs(from until until)`, query `q` being the
+    * `d` floats of `vecs` from `q * d` on: row `i - from` of the buffer
+    * scores query `qs(i)`.
+    */
+  def scores(vecs: Array[Float], d: Int, qs: Array[Int], from: Int, until: Int,
+             block: Block, metric: Metric): Array[Float] = {
+    if (!reserve((until - from) * block.stride)) return Array.emptyFloatArray
+    Kernel.scores(vecs, d, qs, from, until, block, metric == Metric.L2, out)
+    out
+  }
+
+  /** Grows the score buffer to `size`; false when there is nothing to score. */
+  private def reserve(size: Int): Boolean = {
+    if (out.length < size) out = new Array[Float](math.max(size, out.length * 2))
+    size > 0
   }
 
   /** Rows `rows(0 until count)` of `block` as a block over this scorer's
@@ -125,16 +140,30 @@ private object Kernel {
     val s = b.stride
     var i = 0
     while (i + 4 <= qs.length) {
-      four(qs(i), qs(i + 1), qs(i + 2), qs(i + 3), b.x, s, b.d, l2, out, i * s)
+      four(qs(i), 0, qs(i + 1), 0, qs(i + 2), 0, qs(i + 3), 0, b.x, s, b.d, l2, out, i * s)
       i += 4
     }
-    while (i < qs.length) { one(qs(i), b.x, s, b.d, l2, out, i * s); i += 1 }
+    while (i < qs.length) { one(qs(i), 0, b.x, s, b.d, l2, out, i * s); i += 1 }
   }
 
-  /** Scores of four queries, one lane-wide run of rows at a time: each row
-    * vector is loaded once per dimension and used by all four accumulators.
+  def scores(vecs: Array[Float], d: Int, qs: Array[Int], from: Int, until: Int,
+             b: Block, l2: Boolean, out: Array[Float]): Unit = {
+    val s = b.stride
+    var i = from
+    while (i + 4 <= until) {
+      four(vecs, qs(i) * d, vecs, qs(i + 1) * d, vecs, qs(i + 2) * d, vecs, qs(i + 3) * d,
+           b.x, s, b.d, l2, out, (i - from) * s)
+      i += 4
+    }
+    while (i < until) { one(vecs, qs(i) * d, b.x, s, b.d, l2, out, (i - from) * s); i += 1 }
+  }
+
+  /** Scores of four queries (query `i` is `qi` from offset `oi`), one
+    * lane-wide run of rows at a time: each row vector is loaded once per
+    * dimension and used by all four accumulators.
     */
-  private def four(q0: Array[Float], q1: Array[Float], q2: Array[Float], q3: Array[Float],
+  private def four(q0: Array[Float], o0: Int, q1: Array[Float], o1: Int,
+                   q2: Array[Float], o2: Int, q3: Array[Float], o3: Int,
                    x: Array[Float], s: Int, d: Int, l2: Boolean, out: Array[Float], o: Int): Unit = {
     var j = 0
     while (j < s) {
@@ -143,11 +172,12 @@ private object Kernel {
       while (t < d) {
         val v = FloatVector.fromArray(S, x, t * s + j)
         if (l2) {
-          val e0 = v.sub(q0(t)); val e1 = v.sub(q1(t)); val e2 = v.sub(q2(t)); val e3 = v.sub(q3(t))
+          val e0 = v.sub(q0(o0 + t)); val e1 = v.sub(q1(o1 + t))
+          val e2 = v.sub(q2(o2 + t)); val e3 = v.sub(q3(o3 + t))
           a0 = a0.add(e0.mul(e0)); a1 = a1.add(e1.mul(e1)); a2 = a2.add(e2.mul(e2)); a3 = a3.add(e3.mul(e3))
         } else {
-          a0 = a0.add(v.mul(q0(t))); a1 = a1.add(v.mul(q1(t)))
-          a2 = a2.add(v.mul(q2(t))); a3 = a3.add(v.mul(q3(t)))
+          a0 = a0.add(v.mul(q0(o0 + t))); a1 = a1.add(v.mul(q1(o1 + t)))
+          a2 = a2.add(v.mul(q2(o2 + t))); a3 = a3.add(v.mul(q3(o3 + t)))
         }
         t += 1
       }
@@ -158,7 +188,7 @@ private object Kernel {
     }
   }
 
-  private def one(q: Array[Float], x: Array[Float], s: Int, d: Int, l2: Boolean,
+  private def one(q: Array[Float], qo: Int, x: Array[Float], s: Int, d: Int, l2: Boolean,
                   out: Array[Float], o: Int): Unit = {
     var j = 0
     while (j < s) {
@@ -166,8 +196,8 @@ private object Kernel {
       var t = 0
       while (t < d) {
         val v = FloatVector.fromArray(S, x, t * s + j)
-        if (l2) { val e = v.sub(q(t)); a = a.add(e.mul(e)) }
-        else a = a.add(v.mul(q(t)))
+        if (l2) { val e = v.sub(q(qo + t)); a = a.add(e.mul(e)) }
+        else a = a.add(v.mul(q(qo + t)))
         t += 1
       }
       (if (l2) a else a.neg()).intoArray(out, o + j)

@@ -123,11 +123,62 @@ final class TopK(val k: Int) extends Serializable {
     val ti = ids(i); ids(i) = ids(j); ids(j) = ti
   }
 
-  /** The `i`-th retained entry in heap order, for `i < size` (unsorted). */
+  /** The `i`-th retained entry in heap order, for `i < size` (unsorted);
+    * [[TopK.sort]] puts entries in best-first order.
+    */
   def scoreAt(i: Int): Float = scores(i)
   def idAt(i: Int): Long = ids(i)
+}
 
-  /** Results sorted best-first (ascending score, then id). */
-  def sorted: Array[(Float, Long)] =
-    (0 until n).map(i => (scores(i), ids(i))).sortBy(t => (t._1, t._2)).toArray
+object TopK {
+
+  /** Reorders entries `from until until` of the parallel arrays `scores`
+    * and `ids` (and `tags`, unless null) so that the best `limit` of them,
+    * in the order a [[TopK]] keeps (ascending score, then id), come first,
+    * best-first; the rest follow in no particular order. With `limit` at
+    * least the range's length this sorts the whole range. A partial
+    * quicksort: only the partitions that reach into the first `limit`
+    * places are sorted.
+    */
+  def sort(scores: Array[Float], ids: Array[Long], tags: Array[Boolean],
+           from: Int, until: Int, limit: Int): Unit = {
+    def less(i: Int, j: Int): Boolean =
+      scores(i) < scores(j) || (scores(i) == scores(j) && ids(i) < ids(j))
+    def swap(i: Int, j: Int): Unit = {
+      val ts = scores(i); scores(i) = scores(j); scores(j) = ts
+      val ti = ids(i); ids(i) = ids(j); ids(j) = ti
+      if (tags != null) { val tt = tags(i); tags(i) = tags(j); tags(j) = tt }
+    }
+    // Sorts [lo, hi] (inclusive) as far as place `end`: the places before
+    // `end` end up final.
+    def go(lo0: Int, hi0: Int, end: Int): Unit = {
+      var lo = lo0; var hi = hi0
+      while (hi - lo >= 12 && lo < end) {
+        // Hoare partition around the median of three.
+        val mid = (lo + hi) >>> 1
+        if (less(mid, lo)) swap(mid, lo)
+        if (less(hi, lo)) swap(hi, lo)
+        if (less(hi, mid)) swap(hi, mid)
+        val ps = scores(mid); val pid = ids(mid)
+        var i = lo; var j = hi
+        while (i <= j) {
+          while (scores(i) < ps || (scores(i) == ps && ids(i) < pid)) i += 1
+          while (ps < scores(j) || (ps == scores(j) && pid < ids(j))) j -= 1
+          if (i <= j) { swap(i, j); i += 1; j -= 1 }
+        }
+        // [lo, j] precedes [i, hi]; a place between them is final.
+        if (end <= j + 1) hi = j
+        else { go(lo, j, j + 1); lo = i }
+      }
+      if (lo < end) {
+        var i = lo + 1
+        while (i <= hi) {
+          var j = i
+          while (j > lo && less(j, j - 1)) { swap(j, j - 1); j -= 1 }
+          i += 1
+        }
+      }
+    }
+    go(from, until - 1, math.min(until, from + math.max(0, limit)))
+  }
 }

@@ -6,7 +6,9 @@ import repro.core.engine._
 import repro.core.vec.Metric
 import repro.workload.Workload
 
-/** One strategy's measured numbers on one dataset. */
+/** One strategy's measured numbers on one dataset; `phases` splits the
+  * measured pass (none for a strategy that does not apply).
+  */
 final case class StrategyRow(strategy: String,
                              buildMillis: Long,
                              runMillis: Long,
@@ -15,7 +17,8 @@ final case class StrategyRow(strategy: String,
                              routedTuples: Long,
                              recall: Double,
                              reachedTarget: Boolean,
-                             applicable: Boolean = true)
+                             applicable: Boolean = true,
+                             phases: Option[PassPhases] = None)
 
 /** All strategies on one dataset, with ratio helpers for the paper's
   * "normalized by HQI" tables.
@@ -91,9 +94,9 @@ object Harness {
     val run = Seq.fill(if (opts.postFilter) 1 else 2)(BatchEngine.run(index, workload, opts))
       .minBy(_.metrics.wallMillis)
     val recall = Recall.overall(run.results, gt, K)
-    StrategyRow(strategy, index.buildMillis, run.metrics.wallMillis,
+    StrategyRow(strategy, index.buildMillis, math.round(run.metrics.wallMillis),
                 run.metrics.tuplesScanned, run.metrics.distComps, run.metrics.routedTuples,
-                recall, reachedTarget = recall >= TargetRecall - 0.02)
+                recall, reachedTarget = recall >= TargetRecall - 0.02, phases = Some(run.metrics.phases))
   }
 
   /** Run every applicable strategy on one dataset.
@@ -140,7 +143,8 @@ object Harness {
     def timed(strategy: String, index: PartitionedIndex): StrategyRow = {
       val row = measure(strategy, index, workload, tuned(strategy, index, sample, gt), gt)
       log(f"$strategy%-10s run=${row.runMillis}%6d ms scanned=${row.tuplesScanned}%12d " +
-          f"dist=${row.distComps}%12d recall=${row.recall}%.3f reached=${row.reachedTarget}")
+          f"dist=${row.distComps}%12d recall=${row.recall}%.3f reached=${row.reachedTarget} " +
+          row.phases.fold("")(_.describe))
       row
     }
 

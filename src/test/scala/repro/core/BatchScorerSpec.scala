@@ -96,6 +96,20 @@ class BatchScorerSpec extends AnyFunSuite {
     }
   }
 
+  test("queries picked by index from one flat array score exactly like the same rows") {
+    val s = new BatchScorer
+    val rnd = new Random(13)
+    for (d <- Seq(1, 8, 32); m <- Seq(1, 3, 4, 9); metric <- metrics) {
+      val q = Array.fill(12)(vec(rnd, d))
+      val x = Array.fill(lanes + 3)(vec(rnd, d))
+      val b = block(x, d)
+      val picked = Array.fill(m + 2)(rnd.nextInt(q.length))
+      val flat = s.scores(q.flatten, d, picked, 2, m + 2, b, metric)
+      for (i <- 0 until m; j <- x.indices)
+        assert(flat(i * b.stride + j) == metric.score(q(picked(i + 2)), x(j)), s"($i,$j) m=$m d=$d ${metric.name}")
+    }
+  }
+
   test("push skipping lane runs above a full heap's threshold keeps exactly what per-row pushes keep") {
     val s = new BatchScorer
     val rnd = new Random(12)
@@ -109,7 +123,7 @@ class BatchScorerSpec extends AnyFunSuite {
         s.push(viaPush, flat, 0, b)
         for (j <- 0 until n) perRow.push(flat(j), b.ids(j))
       }
-      assert(viaPush.sorted.toSeq == perRow.sorted.toSeq, s"k=$k n=$n")
+      assert(TopKOrder.sorted(viaPush) == TopKOrder.sorted(perRow), s"k=$k n=$n")
     }
   }
 

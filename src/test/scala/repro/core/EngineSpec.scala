@@ -1,6 +1,10 @@
 package repro.core
 
+import org.apache.spark.SparkEnv
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.storage.BroadcastBlockId
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 
 import repro.SparkSpec
 import repro.core.engine._
@@ -154,6 +158,63 @@ class EngineSpec extends SparkSpec {
            s"qd-tree routing should prune partitions: hqi=${h.metrics.routedTuples} flat=${f.metrics.routedTuples}")
   }
 
+  test("HQI at m = 3 with every cell probed equals an exhaustive scan of each query's routed partitions") {
+    // Centroid routing is per query, so each query is ranked in its own
+    // routed set; probing every cell of it must give the exact top-k of
+    // the matching tuples in the partitions it routes to.
+    val idx = IndexBuilder.buildHQI(db(this), KGData.AttrCols, Metric.IP, workload, HQIOptions(minSize = 256, m = 3))
+    try {
+      val rows = idx.data.select("id", "vec", IndexBuilder.PartCol).collect()
+        .map(r => (r.getLong(0), r.getSeq[Float](1).toArray, r.getInt(2)))
+      val allCells = idx.leaves.map(_.centroids.length).sum
+      val run = BatchEngine.run(idx, workload, EngineOptions(k = workload.k, defaultNprobe = allCells))
+      var partial = 0
+      for (q <- workload.queries) {
+        val routed = idx.route(workload.templateById(q.templateId), q.vec).toSet
+        if (routed.size < idx.numPartitions) partial += 1
+        val want = rows.filter(r => routed(r._3) && matchIds(q.templateId)(r._1))
+          .map { case (id, v, _) => (id, Metric.IP.score(q.vec, v)) }
+          .sortBy(t => (t._2, t._1)).take(workload.k).toSeq
+        assert(run.results.getOrElse(q.qid, Array.empty).toSeq == want, s"qid ${q.qid}")
+      }
+      assert(partial > 0, "some query should route to fewer than all partitions")
+    } finally idx.unpersist()
+  }
+
+  test("pass phases are non-negative and sum to at most the pass's wall time") {
+    for (opts <- Seq(EngineOptions(defaultNprobe = 4), EngineOptions(defaultNprobe = 4, postFilter = true),
+                     EngineOptions(exhaustive = true))) {
+      val m = BatchEngine.run(hqi(this), workload, opts).metrics
+      val p = m.phases
+      val all = Seq(p.rankMs, p.probesMs, p.broadcastMs, p.jobMs, p.mergeMs, p.resultsMs)
+      assert(all.forall(_ >= 0), s"$p")
+      // The phases are laps of the clock that times the pass; 1e-9 ms
+      // covers the rounding of their sum.
+      assert(all.sum <= m.wallMillis + 1e-9, s"$p vs ${m.wallMillis}")
+    }
+  }
+
+  test("a pass leaves no broadcast behind but its job's task binary") {
+    // Spark broadcasts each stage's serialized tasks and drops them only
+    // after garbage collection, which may also drop older broadcasts at any
+    // time; so the check is per pass: the plan's broadcast must be gone
+    // (destroying it removes its blocks asynchronously). A first pass
+    // re-caches the index if other suites evicted it, so that each checked
+    // pass runs one stage.
+    val bm = SparkEnv.get.blockManager
+    def broadcastIds: Set[Long] =
+      bm.getMatchingBlockIds(_.isBroadcast).collect { case BroadcastBlockId(id, _) => id }.toSet
+    BatchEngine.run(hqi(this), workload, EngineOptions(defaultNprobe = 4))
+    for (_ <- 0 until 3; opts <- Seq(EngineOptions(defaultNprobe = 4), EngineOptions(exhaustive = true))) {
+      val before = broadcastIds
+      BatchEngine.run(hqi(this), workload, opts)
+      eventually(timeout(Span(5, Seconds))) {
+        val added = broadcastIds -- before
+        assert(added.size <= 1, s"broadcasts $added remain after one pass")
+      }
+    }
+  }
+
   test("post-filtering (Strategy D) never returns non-matching tuples") {
     val run = BatchEngine.run(flat(this), workload,
       EngineOptions(defaultNprobe = 8, postFilter = true, postFilterExpansion = 4))
@@ -243,11 +304,14 @@ class EngineSpec extends SparkSpec {
   test("work counters are identical across two passes of the same workload") {
     for ((strategy, index) <- Seq("HQI" -> hqi(this), "PreFilter" -> flat(this), "PostFilter" -> flat(this))) {
       val opts = Harness.strategyOpts(strategy).copy(defaultNprobe = 4)
-      val Seq(a, b) = Seq.fill(2)(BatchEngine.run(index, workload, opts).metrics.copy(wallMillis = 0))
+      val Seq(a, b) = Seq.fill(2)(BatchEngine.run(index, workload, opts).metrics).map(untimed)
       assert(a == b, s"$strategy counters differ between passes")
       assert(a.tuplesScanned > 0 && a.distComps > 0 && a.routedTuples > 0, s"$strategy: $a")
     }
   }
+
+  /** A pass's metrics without its timings, which differ between passes. */
+  private def untimed(m: EngineMetrics): EngineMetrics = m.copy(wallMillis = 0, phases = PassPhases(0, 0, 0, 0, 0, 0))
 
   /** Ids of the RDDs Spark currently keeps persisted. */
   private def persistedIds: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
@@ -275,7 +339,7 @@ class EngineSpec extends SparkSpec {
     built.foreach(id => spark.sparkContext.getPersistentRDDs(id).unpersist(blocking = true))
     assert(spark.sparkContext.getRDDStorageInfo.forall(r => !built(r.id)))
     val recomputed = BatchEngine.run(idx, workload, opts)
-    assert(recomputed.metrics.copy(wallMillis = 0) == resident.metrics.copy(wallMillis = 0))
+    assert(untimed(recomputed.metrics) == untimed(resident.metrics))
     assert(recomputed.results.keySet == resident.results.keySet)
     for ((qid, rs) <- resident.results)
       assert(recomputed.results(qid).sameElements(rs), s"qid $qid: ids or scores differ")

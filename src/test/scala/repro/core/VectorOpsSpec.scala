@@ -115,19 +115,19 @@ class VectorOpsSpec extends AnyFunSuite {
   test("TopK keeps the k smallest scores") {
     val h = new TopK(3)
     Seq(5f, 1f, 4f, 2f, 3f).zipWithIndex.foreach { case (s, i) => h.push(s, i.toLong) }
-    assert(h.sorted.map(_._1).toSeq == Seq(1f, 2f, 3f))
+    assert(TopKOrder.sorted(h).map(_._1).toSeq == Seq(1f, 2f, 3f))
   }
 
   test("TopK under capacity returns all pushed entries") {
     val h = new TopK(10)
     h.push(2f, 7L); h.push(1f, 3L)
-    assert(h.sorted.toSeq == Seq((1f, 3L), (2f, 7L)))
+    assert(TopKOrder.sorted(h) == Seq((1f, 3L), (2f, 7L)))
   }
 
   test("TopK breaks score ties towards lower ids") {
     val h = new TopK(2)
     h.push(1f, 9L); h.push(1f, 2L); h.push(1f, 5L)
-    assert(h.sorted.map(_._2).toSeq == Seq(2L, 5L))
+    assert(TopKOrder.sorted(h).map(_._2).toSeq == Seq(2L, 5L))
   }
 
   test("TopK equals sort-take on random input") {
@@ -137,7 +137,7 @@ class VectorOpsSpec extends AnyFunSuite {
       val xs = List.fill(40)((rnd.nextInt(50).toFloat, rnd.nextLong(100)))
       val h = new TopK(k)
       xs.foreach { case (s, id) => h.push(s, id) }
-      assert(h.sorted.toSeq == xs.sortBy(t => (t._1, t._2)).take(k))
+      assert(TopKOrder.sorted(h) == xs.sortBy(t => (t._1, t._2)).take(k))
     }
   }
 
@@ -150,5 +150,15 @@ class VectorOpsSpec extends AnyFunSuite {
     assert(h.threshold == 5f)
     h.push(2f, 3L)
     assert(h.threshold == 2f)
+  }
+}
+
+/** A heap's entries best-first, through the one sort the engine uses. */
+object TopKOrder {
+  def sorted(h: TopK): Seq[(Float, Long)] = {
+    val scores = Array.tabulate(h.size)(h.scoreAt)
+    val ids = Array.tabulate(h.size)(h.idAt)
+    TopK.sort(scores, ids, null, 0, h.size, h.size)
+    scores.toSeq.zip(ids)
   }
 }

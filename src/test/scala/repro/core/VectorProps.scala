@@ -40,7 +40,19 @@ object VectorProps extends Properties("vec") {
                 Gen.chooseNum(1, 10)) { (xs, k) =>
       val h = new TopK(k)
       xs.foreach { case (s, id) => h.push(s, id) }
-      h.sorted.toSeq == xs.sortBy(t => (t._1, t._2)).take(k)
+      TopKOrder.sorted(h) == xs.sortBy(t => (t._1, t._2)).take(k)
+    }
+
+  property("TopK.sort with a limit puts the best entries first, best-first, tags alongside") =
+    Prop.forAll(Gen.listOfN(40, Gen.zip(Gen.chooseNum(0f, 8f), Gen.chooseNum(0L, 60L))),
+                Gen.chooseNum(0, 45)) { (xs, limit) =>
+      val scores = xs.map(_._1).toArray; val ids = xs.map(_._2).toArray
+      val tags = xs.map(x => x._1 > x._2).toArray
+      TopK.sort(scores, ids, tags, 0, xs.length, limit)
+      val want = xs.sortBy(t => (t._1, t._2)).take(limit)
+      scores.toSeq.zip(ids).take(limit) == want &&
+        scores.toSeq.zip(ids).sortBy(t => (t._1, t._2)) == xs.sortBy(t => (t._1, t._2)) &&
+        scores.indices.forall(i => tags(i) == scores(i) > ids(i))
     }
 
   // A coarser 1/8 grid than `vec`, so equal distances to two centroids are
