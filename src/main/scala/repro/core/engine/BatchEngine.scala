@@ -117,27 +117,25 @@ object BatchEngine {
     require(workload.metric == index.metric,
             s"workload metric ${workload.metric.name} does not match the metric of index " +
             s"${index.name}, ${index.metric.name}")
-    val t0 = System.nanoTime()
-    var last = t0
-    def lap(): Double = { val t = System.nanoTime(); val ms = (t - last) / 1e6; last = t; ms }
+    val laps = new Laps
 
     // ---- Driver planning: route queries, rank cells, build the probe table. ----
     val ranked = PassPlan.rank(index, workload, opts)
-    val rankMs = lap()
+    val rankMs = laps.lap()
     val (cellOff, cellQueries) = PassPlan.probeTable(ranked, index.cellBase(index.numPartitions), workload.templates)
-    val probesMs = lap()
+    val probesMs = laps.lap()
     val planB = index.cells.sparkContext.broadcast(ExecPlan(
       ranked.tids, ranked.vecs, ranked.d, workload.templates.map(t => t.id -> t.preds).toMap,
       cellOff, cellQueries, index.metric, opts))
     try {
-      val broadcastMs = lap()
+      val broadcastMs = laps.lap()
 
       // ---- Distributed scan (Algorithm 3 per Spark partition), one job. ----
       val attrCols = index.attrCols
       val parts = index.cells.mapPartitions { it =>
         Iterator.single(scanPartition(it.next(), planB.value, attrCols))
       }.collect()
-      val jobMs = lap()
+      val jobMs = laps.lap()
 
       // ---- Global top-k merge on the driver. ----
       val nq = ranked.tids.length
@@ -149,7 +147,7 @@ object BatchEngine {
         merge(parts, ch * MergeChunk, math.min(nq, (ch + 1) * MergeChunk), opts, kept, keptIds, keptScores)
       }
       java.util.stream.IntStream.range(0, (nq + MergeChunk - 1) / MergeChunk).parallel().forEach(mergeChunk)
-      val mergeMs = lap()
+      val mergeMs = laps.lap()
 
       val results = Map.newBuilder[Long, Array[(Long, Float)]]
       var qi = 0
@@ -160,8 +158,8 @@ object BatchEngine {
       }
       val run = results.result()
       val counters = (parts.map(_.tuplesScanned).sum, parts.map(_.distComps).sum, parts.map(_.filterRows).sum)
-      val resultsMs = lap()
-      EngineRun(run, EngineMetrics(counters._1, counters._2, counters._3, ranked.routedTuples, (last - t0) / 1e6,
+      val resultsMs = laps.lap()
+      EngineRun(run, EngineMetrics(counters._1, counters._2, counters._3, ranked.routedTuples, laps.total,
                                    PassPhases(rankMs, probesMs, broadcastMs, jobMs, mergeMs, resultsMs)))
     } finally planB.destroy()
   }
@@ -223,9 +221,10 @@ object BatchEngine {
     */
   private[engine] final class Cell(val block: Block, val attrs: Array[Array[Any]]) extends Serializable
 
-  /** Decode an index layout's rows into its posting lists: per Spark
-    * partition, one [[Cell]] per dense cell index (`cellBase(__part) +
-    * __cluster`) holding that partition's rows of the cell, with the
+  /** Decode an index layout's rows into its posting lists: the rows are
+    * repartitioned by `(__part, __cluster)` over the default parallelism,
+    * and each Spark partition gets one [[Cell]] per dense cell index
+    * (`cellBase(__part) + __cluster`) holding its rows of the cell, with the
     * attributes in `attrCols` order.
     */
   private[engine] def decode(data: DataFrame, attrCols: Seq[String],
@@ -236,7 +235,8 @@ object BatchEngine {
     val partIdx = schema.fieldIndex(IndexBuilder.PartCol)
     val clusterIdx = schema.fieldIndex(IndexBuilder.ClusterCol)
     val rowIdx: Array[Int] = attrCols.map(schema.fieldIndex).toArray
-    data.rdd.mapPartitions { rows =>
+    data.repartition(data.sparkSession.sparkContext.defaultParallelism, data(IndexBuilder.PartCol),
+                     data(IndexBuilder.ClusterCol)).rdd.mapPartitions { rows =>
       val built = mutable.HashMap.empty[Int, mutable.ArrayBuffer[(Long, Array[Float], Array[Any])]]
       rows.foreach { r =>
         val cell = cellBase(r.getInt(partIdx)) + r.getInt(clusterIdx)

@@ -32,9 +32,11 @@ final case class HQIOptions(minSize: Int = 1024,
   * each tuple goes to. The driver trains k-means/qd-tree structures over a
   * collected copy of `(id, vec)` (bounded at reproduction scale); predicate
   * support bitmaps are evaluated by Catalyst in one distributed pass; the
-  * final `__part` / `__cluster` layout columns are attached by an id lookup
-  * and the DataFrame is repartitioned by them — the index layout *is* the
-  * DataFrame partition layout.
+  * final `__part` / `__cluster` layout columns are attached to an uncached
+  * view of the input by an id lookup, and that view, repartitioned by them,
+  * is decoded into the resident posting lists — the index layout *is* the
+  * DataFrame partition layout, and the posting lists are its only resident
+  * copy.
   */
 object IndexBuilder {
 
@@ -44,8 +46,6 @@ object IndexBuilder {
 
   /** Base seed of the k-means in every build. */
   val Seed = 7L
-
-  private def now(): Long = System.currentTimeMillis()
 
   /** Every row's id and vector in id order; tuple `i` of a build is the row
     * with id `ids(i)`. The same collect carries the `extra` columns, which
@@ -66,28 +66,18 @@ object IndexBuilder {
     (ids, vecs)
   }
 
-  /** Successive phase times of one build in ms, from one clock: the laps
-    * sum to [[total]].
-    */
-  private final class Laps {
-    private val t0 = now()
-    private var last = t0
-    def lap(): Long = { val t = now(); val ms = t - last; last = t; ms }
-    def total: Long = last - t0
-  }
-
   /** The build step every layout shares. Partition `p` (tuples with
     * `partOf(i) == p`, in id order) gets √|P| IVF cells trained with seed
     * `Seed + p`, or one zero centroid when it is empty; every tuple is
-    * assigned its nearest cell, the data is laid out and cached by
-    * `(__part, __cluster)`, and its posting lists are decoded and persisted.
-    * Partitions are trained in parallel; each depends only on its own seed
-    * and tuples, so the result does not depend on the order.
+    * assigned its nearest cell, and its posting lists are decoded from the
+    * input laid out by `(__part, __cluster)` and persisted, the index's only
+    * resident copy. Partitions are trained in parallel; each depends only on
+    * its own seed and tuples, so the result does not depend on the order.
     */
   private def build(name: String, db: DataFrame, attrCols: Seq[String], metric: Metric,
                     routing: Routing, ids: Array[Long], vecs: Array[Array[Float]],
                     partOf: Array[Int], numParts: Int, laps: Laps,
-                    collectMs: Long, partitionMs: Long): PartitionedIndex = {
+                    collectMs: Double, partitionMs: Double): PartitionedIndex = {
     val members = Array.fill(numParts)(new mutable.ArrayBuilder.ofInt)
     for (i <- ids.indices) members(partOf(i)) += i
     val dim = vecs.headOption.fold(1)(_.length)
@@ -106,8 +96,13 @@ object IndexBuilder {
       leafNanos(p) = System.nanoTime() - t
     }
     val leafIvfMs = laps.lap()
-    // `ids` is sorted, so one binary search finds a row's tuple index.
+    // The placement reaches the UDF only through a broadcast: arrays its
+    // closure captured would enter the lineage of `cells`, so every pass's
+    // task would carry them (16 bytes a row).
+    val placement = db.sparkSession.sparkContext.broadcast((ids, partOf, clusterOf))
     val place = udf { (id: Long) =>
+      val (ids, partOf, clusterOf) = placement.value
+      // `ids` is sorted, so one binary search finds a row's tuple index.
       val i = java.util.Arrays.binarySearch(ids, id)
       (partOf(i), clusterOf(i))
     }
@@ -115,13 +110,11 @@ object IndexBuilder {
       .withColumn(PartCol, col("__place._1"))
       .withColumn(ClusterCol, col("__place._2"))
       .drop("__place")
-      .repartition(db.sparkSession.sparkContext.defaultParallelism, col(PartCol), col(ClusterCol))
-      .cache()
     val cells = BatchEngine.decode(data, attrCols, BatchEngine.cellBase(leaves)).persist()
     cells.count()
-    val phases = BuildPhases(collectMs, partitionMs, leafIvfMs, leafNanos.sum / 1000000L,
-                             leafNanos.max / 1000000L, laps.lap())
-    new PartitionedIndex(name, data, cells, attrCols, metric, leaves, routing, laps.total, phases)
+    val phases = BuildPhases(collectMs.toLong, partitionMs.toLong, leafIvfMs.toLong, leafNanos.sum / 1000000L,
+                             leafNanos.max / 1000000L, laps.lap().toLong)
+    new PartitionedIndex(name, data, cells, placement, attrCols, metric, leaves, routing, laps.total.toLong, phases)
   }
 
   /** Strategy B/D layout: one logical partition, a single IVF with √n cells
@@ -133,7 +126,7 @@ object IndexBuilder {
     val laps = new Laps
     val (ids, vecs) = collectVectors(db)((_, _) => ())
     build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1,
-          laps, laps.lap(), 0L)
+          laps, laps.lap(), 0)
   }
 
   /** Strategy C layout: equi-depth range partitions on `rangeAttr`, one IVF

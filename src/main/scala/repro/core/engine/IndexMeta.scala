@@ -1,5 +1,6 @@
 package repro.core.engine
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 
@@ -88,9 +89,20 @@ object Routing {
   */
 final case class LeafMeta(partId: Int, size: Long, centroids: Array[Array[Float]])
 
-/** Wall time of each phase of an index build, in ms. The four wall phases
-  * (collect, partition, leaf IVF, layout) are disjoint laps of one clock,
-  * so they sum to [[PartitionedIndex.buildMillis]].
+/** Successive laps of one monotonic clock, in ms: the laps sum to [[total]].
+  * Times the phases of index builds and batch passes.
+  */
+private[engine] final class Laps {
+  private val t0 = System.nanoTime()
+  private var last = t0
+  def lap(): Double = { val t = System.nanoTime(); val ms = (t - last) / 1e6; last = t; ms }
+  def total: Double = (last - t0) / 1e6
+}
+
+/** Wall time of each phase of an index build, in whole ms. The four wall
+  * phases (collect, partition, leaf IVF, layout) are disjoint laps of one
+  * monotonic clock, each rounded down, so they sum to at most
+  * [[PartitionedIndex.buildMillis]].
   *
   * @param collectMs    the `(id, vec)` collect, with every predicate's
   *                     support evaluated in the same pass (HQI)
@@ -100,22 +112,26 @@ final case class LeafMeta(partId: Int, size: Long, centroids: Array[Array[Float]
   *                     partitions train in parallel)
   * @param leafIvfSumMs the same work summed over partitions
   * @param leafIvfMaxMs the slowest partition's share of it
-  * @param layoutMs     layout columns, repartition, cache and posting-list
-  *                     decode (materialize)
+  * @param layoutMs     layout columns, repartition and posting-list decode
+  *                     (materialize)
   */
 final case class BuildPhases(collectMs: Long, partitionMs: Long, leafIvfMs: Long,
                              leafIvfSumMs: Long, leafIvfMaxMs: Long, layoutMs: Long)
 
-/** A built, partitioned vector index: the physical layout lives in `data`
-  * (columns `id, vec, <attrs…>, __part, __cluster`, repartitioned and cached
-  * by `(__part, __cluster)`), its decoded posting lists in `cells` (one
-  * persisted map from dense cell index to [[BatchEngine.Cell]] per Spark
-  * partition of `data`, which every batch pass scans), and everything
-  * needed for routing/probing in driver metadata.
+/** A built, partitioned vector index. Its only resident copy is `cells`:
+  * the decoded posting lists, one persisted map from dense cell index to
+  * [[BatchEngine.Cell]] per Spark partition of the input repartitioned by
+  * `(__part, __cluster)`, which every batch pass scans. `data` is an
+  * uncached view of the input with the layout columns (`id, vec, <attrs…>,
+  * __part, __cluster`, partitioned as the input is), from which an evicted
+  * cell map is recomputed; its layout UDF reads each row's placement from
+  * the broadcast `placement`, which the index owns. Everything needed for
+  * routing/probing is driver metadata.
   */
 final class PartitionedIndex(val name: String,
                              val data: DataFrame,
-                             private[engine] val cells: RDD[mutable.HashMap[Int, BatchEngine.Cell]],
+                             private[core] val cells: RDD[mutable.HashMap[Int, BatchEngine.Cell]],
+                             private[core] val placement: Broadcast[_],
                              val attrCols: Seq[String],
                              val metric: Metric,
                              val leaves: Array[LeafMeta],
@@ -135,8 +151,11 @@ final class PartitionedIndex(val name: String,
   def route(template: Template, qvec: Array[Float]): Seq[Int] =
     routing.route(template.preds, Some(qvec), numPartitions)
 
+  /** Drops `cells` and destroys `placement`: afterwards `data` and passes
+    * over this index can no longer be evaluated.
+    */
   def unpersist(): Unit = {
     cells.unpersist()
-    data.unpersist()
+    placement.destroy()
   }
 }

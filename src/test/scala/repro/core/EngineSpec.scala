@@ -201,9 +201,6 @@ class EngineSpec extends SparkSpec {
     // (destroying it removes its blocks asynchronously). A first pass
     // re-caches the index if other suites evicted it, so that each checked
     // pass runs one stage.
-    val bm = SparkEnv.get.blockManager
-    def broadcastIds: Set[Long] =
-      bm.getMatchingBlockIds(_.isBroadcast).collect { case BroadcastBlockId(id, _) => id }.toSet
     BatchEngine.run(hqi(this), workload, EngineOptions(defaultNprobe = 4))
     for (_ <- 0 until 3; opts <- Seq(EngineOptions(defaultNprobe = 4), EngineOptions(exhaustive = true))) {
       val before = broadcastIds
@@ -227,7 +224,7 @@ class EngineSpec extends SparkSpec {
     val run = BatchEngine.run(flat(this), workload, opts)
     // Each task emits at most heapK scored candidates per query.
     val emittedBound = math.min(run.metrics.distComps,
-      workload.size.toLong * opts.heapK * flat(this).data.rdd.getNumPartitions)
+      workload.size.toLong * opts.heapK * flat(this).cells.getNumPartitions)
     assert(run.metrics.filterRows > 0)
     assert(run.metrics.filterRows <= emittedBound, s"${run.metrics} vs bound $emittedBound")
   }
@@ -313,6 +310,10 @@ class EngineSpec extends SparkSpec {
   /** A pass's metrics without its timings, which differ between passes. */
   private def untimed(m: EngineMetrics): EngineMetrics = m.copy(wallMillis = 0, phases = PassPhases(0, 0, 0, 0, 0, 0))
 
+  /** Ids of the broadcasts whose blocks the block manager holds. */
+  private def broadcastIds: Set[Long] = SparkEnv.get.blockManager.getMatchingBlockIds(_.isBroadcast)
+    .collect { case BroadcastBlockId(id, _) => id }.toSet
+
   /** Ids of the RDDs Spark currently keeps persisted. */
   private def persistedIds: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
 
@@ -327,8 +328,26 @@ class EngineSpec extends SparkSpec {
   test("unpersist releases every RDD the index build persisted") {
     val (idx, built) = buildTracked()
     assert(built.nonEmpty)
+    assert(broadcastIds(idx.placement.id), "the placement broadcast holds no blocks")
     idx.unpersist()
     assert((persistedIds intersect built).isEmpty, s"still persisted: ${persistedIds intersect built}")
+    // Destroying a broadcast removes its blocks asynchronously.
+    eventually(timeout(Span(5, Seconds))) {
+      assert(!broadcastIds(idx.placement.id), s"placement broadcast ${idx.placement.id} still holds blocks")
+    }
+  }
+
+  test("the task a pass runs over an index's cells does not grow with the rows indexed") {
+    // Every pass serializes `cells` with its lineage into its task. Per-row
+    // data in that lineage, such as placement arrays captured by the layout
+    // UDF's closure, would make each task grow with N.
+    val ser = SparkEnv.get.closureSerializer.newInstance()
+    val big = KGData.entities(spark, 4 * N, D).cache()
+    val bigIdx = IndexBuilder.buildFlat(big, KGData.AttrCols, Metric.IP)
+    try {
+      val Seq(atN, at4N) = Seq(flat(this), bigIdx).map(i => ser.serialize(i.cells).limit())
+      assert(at4N < atN + 1024, s"serialized cells RDD: $atN bytes at N = $N, $at4N bytes at 4N")
+    } finally { bigIdx.unpersist(); big.unpersist() }
   }
 
   test("a pass after the index's persisted blocks are evicted returns the same results and counters") {
