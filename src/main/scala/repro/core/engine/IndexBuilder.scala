@@ -4,8 +4,7 @@ import java.util.stream.IntStream
 
 import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.roaringbitmap.RoaringBitmap
-
+import scala.collection.immutable.BitSet
 import scala.collection.mutable
 
 import repro.core.ivf.IVF
@@ -30,8 +29,9 @@ final case class HQIOptions(minSize: Int = 1024,
   * Every layout is "partition the tuples, then one IVF with √|Pᵢ| cells per
   * partition" (§4.1.3, §2.2); the builders differ only in which partition
   * each tuple goes to. The driver trains k-means/qd-tree structures over a
-  * collected copy of `(id, vec)` (bounded at reproduction scale); predicate
-  * support bitmaps are evaluated by Catalyst in one distributed pass; the
+  * collected copy of `(id, vec)` (bounded at reproduction scale); the
+  * predicates behind each tuple's qd-tree signature are evaluated by Catalyst
+  * in that same collect; the
   * final `__part` / `__cluster` layout columns are attached to an uncached
   * view of the input by an id lookup, and that view, repartitioned by them,
   * is decoded into the resident posting lists — the index layout *is* the
@@ -49,9 +49,9 @@ object IndexBuilder {
 
   /** Every row's id and vector in id order; tuple `i` of a build is the row
     * with id `ids(i)`. The same collect carries the `extra` columns, which
-    * `each(i, row)` reads from position 2 on.
+    * `each(row)`, called in tuple order, reads from position 2 on.
     */
-  private def collectVectors(db: DataFrame, extra: Seq[Column] = Nil)(each: (Int, Row) => Unit)
+  private def collectVectors(db: DataFrame, extra: Seq[Column] = Nil)(each: Row => Unit)
       : (Array[Long], Array[Array[Float]]) = {
     val rows = db.select(col("id") +: col("vec") +: extra: _*).orderBy("id").collect()
     val ids = new Array[Long](rows.length)
@@ -60,7 +60,7 @@ object IndexBuilder {
     while (i < rows.length) {
       ids(i) = rows(i).getLong(0)
       vecs(i) = rows(i).getSeq[Float](1).toArray
-      each(i, rows(i))
+      each(rows(i))
       i += 1
     }
     (ids, vecs)
@@ -124,7 +124,7 @@ object IndexBuilder {
   def buildFlat(db: DataFrame, attrCols: Seq[String], metric: Metric,
                 name: String = "PreFilter"): PartitionedIndex = {
     val laps = new Laps
-    val (ids, vecs) = collectVectors(db)((_, _) => ())
+    val (ids, vecs) = collectVectors(db)(_ => ())
     build(name, db, attrCols, metric, Routing.All, ids, vecs, new Array[Int](ids.length), 1,
           laps, laps.lap(), 0)
   }
@@ -145,7 +145,7 @@ object IndexBuilder {
     }
     val partitionMs = laps.lap()
     val parts = new mutable.ArrayBuilder.ofInt
-    val (ids, vecs) = collectVectors(db, Seq(coalesce(bucket(col(rangeAttr)), lit(0))))((_, r) => parts += r.getInt(2))
+    val (ids, vecs) = collectVectors(db, Seq(coalesce(bucket(col(rangeAttr)), lit(0))))(r => parts += r.getInt(2))
     build("Range", db, attrCols, metric, Routing.ByRange(rangeAttr, edges.zip(edges.tail)),
           ids, vecs, parts.result(), numParts, laps, laps.lap(), partitionMs)
   }
@@ -165,16 +165,18 @@ object IndexBuilder {
     val attrPreds: Array[Pred] = history.templates.flatMap(_.preds).distinct.toArray
 
     // The id/vector collect also evaluates every attribute predicate over V
-    // in Catalyst: one support bitmap of tuple indices per predicate.
-    val attrSupport = Array.fill(attrPreds.length)(new RoaringBitmap())
-    val (ids, vecs) = collectVectors(db, attrPreds.toSeq.map(_.toColumn)) { (i, r) =>
+    // in Catalyst: each tuple's signature is the set of those it satisfies.
+    val sigBuf = new mutable.ArrayBuilder.ofRef[BitSet]
+    val (ids, vecs) = collectVectors(db, attrPreds.toSeq.map(_.toColumn)) { r =>
+      val words = new Array[Long]((attrPreds.length + 63) / 64)
       var j = 0
       while (j < attrPreds.length) {
-        if (!r.isNullAt(j + 2) && r.getBoolean(j + 2)) attrSupport(j).add(i)
+        if (!r.isNullAt(j + 2) && r.getBoolean(j + 2)) words(j >> 6) |= 1L << j
         j += 1
       }
+      sigBuf += BitSet.fromBitMaskNoCopy(words)
     }
-    val n = ids.length
+    val sigs = sigBuf.result()
     val collectMs = laps.lap()
 
     // §4.1.1: global centroid attribute t.c (only when centroid routing is on).
@@ -187,14 +189,10 @@ object IndexBuilder {
       centroidRouting.fold(Array.empty[Pred])(c => Array.tabulate(c.global.length)(Pred.CentroidEq(_)))
     val preds: Array[Pred] = attrPreds ++ centroidPreds
 
-    // Centroid predicate supports come from the driver-side assignment.
-    val centroidSupport = Array.fill(centroidPreds.length)(new RoaringBitmap())
+    // A tuple's centroid predicate comes from the driver-side assignment.
     centroidRouting.foreach { c =>
-      val nearest = KMeans.assign(vecs, c.global)
-      var t = 0
-      while (t < n) { centroidSupport(nearest(t)).add(t); t += 1 }
+      for ((cid, t) <- KMeans.assign(vecs, c.global).zipWithIndex) sigs(t) += attrPreds.length + cid
     }
-    val support: Array[RoaringBitmap] = attrSupport ++ centroidSupport
 
     // The workload model reads each history query as clauses through the
     // routing that will serve it, deduplicated into weighted shapes.
@@ -203,7 +201,7 @@ object IndexBuilder {
       .groupBy(q => routing.clauses(history.templateById(q.templateId).preds, Some(q.vec)))
       .map { case (clauses, qs) => RoutedQuery(clauses, qs.size.toLong) }.toSeq
 
-    val tree = QDTree.build(n, support, shapes, opts.minSize)
+    val tree = QDTree.build(sigs, shapes, opts.minSize)
     build("HQI", db, attrCols, metric, routing.copy(semantics = tree.leaves.map(_.semantic)),
           ids, vecs, tree.leafOfTuple, tree.numLeaves, laps, collectMs, laps.lap())
   }

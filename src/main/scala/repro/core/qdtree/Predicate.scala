@@ -7,8 +7,8 @@ import org.apache.spark.sql.functions._
   * or over the derived centroid attribute `t.c` (§4.1.1).
   *
   * Each predicate can be evaluated two ways, and both must agree:
-  *   - [[Pred.toColumn]] — as a Catalyst [[Column]], for the distributed
-  *     predicate-support pass and for filter pushdown;
+  *   - [[Pred.toColumn]] — as a Catalyst [[Column]], for the tuple
+  *     signatures of the index build's collect and for filter pushdown;
   *   - [[Pred.evalValue]] — on one attribute value inside `mapPartitions`,
   *     for per-cell filter bitmaps during batch search.
   *

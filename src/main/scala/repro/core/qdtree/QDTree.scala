@@ -1,6 +1,5 @@
 package repro.core.qdtree
 
-import org.roaringbitmap.RoaringBitmap
 import scala.collection.immutable.BitSet
 import scala.collection.mutable.ArrayBuffer
 
@@ -17,20 +16,20 @@ final case class RoutedQuery(clauses: Seq[Seq[Int]], weight: Long)
 /** A leaf of the constructed qd-tree.
   *
   * @param leafId   dense id, also the physical `__part` value
-  * @param tuples   indices (into the build ordering) of tuples in this leaf
+  * @param size     number of tuples in this leaf
   * @param semantic the paper's semantic description: bit i set iff some tuple
   *                 in the leaf satisfies extracted predicate i
   */
-final case class QDLeaf(leafId: Int, tuples: RoaringBitmap, semantic: BitSet) {
-  def size: Long = tuples.getLongCardinality
-}
+final case class QDLeaf(leafId: Int, size: Long, semantic: BitSet)
 
-/** Balanced qd-tree over predicate-support bitmaps (Algorithms 1 and 2).
+/** Balanced qd-tree over tuple signatures (Algorithms 1 and 2).
   *
-  * Construction is driver-side pure bitmap arithmetic: the distributed part
-  * (evaluating every extracted predicate over V) happens in the index builder,
-  * which hands this class one [[RoaringBitmap]] of satisfying tuple indices
-  * per predicate.
+  * The algorithms see a tuple only through its *signature*: the set of
+  * extracted predicates it satisfies. The distributed part (evaluating every
+  * extracted predicate over V) happens in the index builder, which hands this
+  * class one signature per tuple. Construction groups equal signatures and
+  * runs on the groups: a side's size is a sum of group counts, and its
+  * semantic description is the union of its groups' signatures.
   */
 final class QDTree(val leaves: Array[QDLeaf],
                    val leafOfTuple: Array[Int]) extends Serializable {
@@ -50,11 +49,9 @@ object QDTree {
 
   /** Build a balanced qd-tree.
     *
-    * @param n        number of tuples; tuple indices are 0 until n in the
-    *                 builder's collection order
-    * @param support  per extracted cut predicate (attribute + centroid), the
-    *                 set of tuple indices satisfying it; leaf semantics
-    *                 index predicates by their position here
+    * @param sigs     per tuple, in the builder's collection order, the
+    *                 extracted cut predicates (attribute + centroid) it
+    *                 satisfies; leaf semantics index predicates the same way
     * @param workload deduplicated workload shapes with weights
     * @param minSize  stop splitting below this partition size (MIN_SIZE)
     *
@@ -65,22 +62,26 @@ object QDTree {
     * growing the left side until it passes |P|/2, and it keeps the greedy
     * objective aligned with the actual split being produced.
     */
-  def build(n: Int, support: Array[RoaringBitmap],
-            workload: Seq[RoutedQuery], minSize: Int): QDTree = {
-    val all = new RoaringBitmap()
-    if (n > 0) all.add(0L, n.toLong)
+  def build(sigs: Array[BitSet], workload: Seq[RoutedQuery], minSize: Int): QDTree = {
+    // Tuples with one signature always go the same way: group g holds the
+    // count(g) tuples whose signature is groups(g).
+    val groups = sigs.distinct
+    val groupOf = sigs.map(groups.zipWithIndex.toMap)
+    val count = new Array[Long](groups.length)
+    for (g <- groupOf) count(g) += 1
 
     val leaves = new ArrayBuffer[QDLeaf]()
-    val leafOf = new Array[Int](n)
+    val leafOfGroup = new Array[Int](groups.length)
 
-    def semanticOf(p: RoaringBitmap): BitSet =
-      BitSet.fromSpecific(support.indices.filter(i => RoaringBitmap.intersects(support(i), p)))
+    def sizeOf(p: Array[Int]): Long = p.iterator.map(count).sum
+
+    def semanticOf(p: Array[Int]): BitSet = p.iterator.map(groups).foldLeft(BitSet.empty)(_ | _)
 
     /** Weighted number of child partitions accessed after splitting P into
       * (left, right) — Algorithm 2's cost, i.e. queries routed to both sides
       * count twice.
       */
-    def splitCost(left: RoaringBitmap, right: RoaringBitmap, queries: Seq[RoutedQuery]): Long = {
+    def splitCost(left: Array[Int], right: Array[Int], queries: Seq[RoutedQuery]): Long = {
       val semL = semanticOf(left); val semR = semanticOf(right)
       queries.iterator.map { q =>
         var c = 0L
@@ -90,54 +91,49 @@ object QDTree {
       }.sum
     }
 
-    def emitLeaf(p: RoaringBitmap): Unit = {
+    def emitLeaf(p: Array[Int]): Unit = {
       val id = leaves.length
-      leaves += QDLeaf(id, p, semanticOf(p))
-      val it = p.getIntIterator
-      while (it.hasNext) leafOf(it.next()) = id
+      leaves += QDLeaf(id, sizeOf(p), semanticOf(p))
+      for (g <- p) leafOfGroup(g) = id
     }
 
-    def construct(p: RoaringBitmap, queries: Seq[RoutedQuery]): Unit = {
-      val pSize = p.getLongCardinality
+    /** `p` is a partition as the groups it holds. */
+    def construct(p: Array[Int], queries: Seq[RoutedQuery]): Unit = {
+      val pSize = sizeOf(p)
       if (pSize <= minSize) { emitLeaf(p); return }
 
       // Effective candidates: predicates that actually split this partition.
-      var candidates = support.indices.filter { i =>
-        val c = RoaringBitmap.and(support(i), p).getLongCardinality
-        c > 0 && c < pSize
-      }.toSet
+      // Ascending into a plain Set, not a BitSet: the Set's iteration order
+      // decides ties between equal costs, and so the tree.
+      var candidates = semanticOf(p).iterator.filter(i => sizeOf(p.filter(groups(_)(i))) < pSize).toSet
       if (candidates.isEmpty) { emitLeaf(p); return }
 
-      val chosen = ArrayBuffer.empty[Int]
-      var left = new RoaringBitmap()
-      while (left.getLongCardinality <= pSize / 2 && candidates.nonEmpty) {
+      val inLeft = new Array[Boolean](groups.length)
+      var leftSize = 0L
+      while (leftSize <= pSize / 2 && candidates.nonEmpty) {
         var bestPred = -1
         var bestCost = Long.MaxValue
-        var bestLeft: RoaringBitmap = null
         for (cand <- candidates) {
-          val candLeft = RoaringBitmap.or(left, RoaringBitmap.and(support(cand), p))
+          val (candLeft, candRight) = p.partition(g => inLeft(g) || groups(g)(cand))
           // Skip candidates that add nothing or swallow the whole partition.
-          val cl = candLeft.getLongCardinality
-          if (cl > left.getLongCardinality && cl < pSize) {
-            val candRight = RoaringBitmap.andNot(p, candLeft)
+          val cl = sizeOf(candLeft)
+          if (cl > leftSize && cl < pSize) {
             val cost = splitCost(candLeft, candRight, queries)
-            if (cost < bestCost) { bestCost = cost; bestPred = cand; bestLeft = candLeft }
+            if (cost < bestCost) { bestCost = cost; bestPred = cand }
           }
         }
         if (bestPred < 0) {
           // No candidate can grow the left side without degenerating.
           candidates = Set.empty
         } else {
-          chosen += bestPred
           candidates -= bestPred
-          left = bestLeft
+          for (g <- p if groups(g)(bestPred)) inLeft(g) = true
+          leftSize = sizeOf(p.filter(inLeft))
         }
       }
 
-      val leftCard = left.getLongCardinality
-      if (chosen.isEmpty || leftCard == 0 || leftCard == pSize) { emitLeaf(p); return }
-
-      val right = RoaringBitmap.andNot(p, left)
+      val (left, right) = p.partition(inLeft)
+      if (left.isEmpty) { emitLeaf(p); return }
       val semL = semanticOf(left); val semR = semanticOf(right)
       val qL = queries.filter(q => satisfiable(semL, q.clauses))
       val qR = queries.filter(q => satisfiable(semR, q.clauses))
@@ -145,7 +141,7 @@ object QDTree {
       construct(right, qR)
     }
 
-    if (n > 0) construct(all, workload) else ()
-    new QDTree(leaves.toArray, leafOf)
+    if (groups.nonEmpty) construct(groups.indices.toArray, workload)
+    new QDTree(leaves.toArray, groupOf.map(leafOfGroup))
   }
 }
