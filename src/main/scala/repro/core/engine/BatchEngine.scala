@@ -19,18 +19,18 @@ import repro.workload.Workload
   *                        (filter, cell) group with one batched kernel
   *                        (§5); off = per-query scans
   * @param attrBatching    evaluate each template's filter once per cell and
-  *                        share the bitmap across its queries; off = each
-  *                        query re-evaluates the filter (the "No batching"
-  *                        baseline of Fig. 7c)
+  *                        share its surviving rows across its queries; off =
+  *                        each query re-evaluates the filter (the "No
+  *                        batching" baseline of Fig. 7c)
   * @param postFilter      Strategy D: ignore filters during the scan, keep
   *                        `k × postFilterExpansion` candidates, filter after
   * @param eagerBitmap     Strategy B bitmap construction: evaluate every
   *                        template's filter over every local tuple up front
   *                        (full-dataset bitmaps), instead of lazily only in
   *                        probed cells
-  * @param exhaustive      Strategy A: visit every cell of every partition
-  *                        regardless of routing — exact results, used as
-  *                        ground truth
+  * @param exhaustive      Strategy A: every query scans every cell of every
+  *                        partition, with no routing, ranking or probe table
+  *                        — exact results, used as ground truth
   */
 final case class EngineOptions(k: Int = 10,
                                nprobe: Map[Int, Int] = Map.empty,
@@ -92,11 +92,12 @@ final case class EngineRun(results: Map[Long, Array[(Long, Float)]], metrics: En
 object BatchEngine {
 
   /** One task's output: its per-query heaps flattened into parallel arrays of
-    * (query index, score, id, whether the id satisfies the query's template),
-    * in ascending query index, plus the task's work counters. Returned as the
-    * task result, so each counter is added exactly once per partition.
+    * (score, id, whether the id satisfies the query's template), by query in
+    * CSR form — query `q`'s entries are `qOff(q) until qOff(q + 1)` — plus
+    * the task's work counters. Returned as the task result, so each counter
+    * is added exactly once per partition.
     */
-  private final case class TaskResult(qis: Array[Int], scores: Array[Float], ids: Array[Long],
+  private final case class TaskResult(qOff: Array[Int], scores: Array[Float], ids: Array[Long],
                                       matches: Array[Boolean],
                                       tuplesScanned: Long, distComps: Long, filterRows: Long)
 
@@ -169,8 +170,7 @@ object BatchEngine {
 
   /** The global top-k of queries `lo until hi`: query `q` keeps
     * `kept(q)` results, best-first at `keptIds`/`keptScores` from `q * k`.
-    * Every task emits its heaps in query order, so a cursor per task walks
-    * them together: each query's entries from all tasks go to one scratch
+    * Each query's range of entries from every task is copied to one scratch
     * run, whose best heapK are sorted to its front. Strategy D keeps the
     * global top-heapK first and filters afterwards, so candidates failing
     * their template only drop out here.
@@ -182,25 +182,15 @@ object BatchEngine {
     val scores = new Array[Float](cap)
     val ids = new Array[Long](cap)
     val matches = new Array[Boolean](cap)
-    // Each task's first entry for query `lo` or later.
-    val cursor = parts.map { p =>
-      var a = 0; var b = p.qis.length
-      while (a < b) { val mid = (a + b) >>> 1; if (p.qis(mid) < lo) a = mid + 1 else b = mid }
-      a
-    }
     var qi = lo
     while (qi < hi) {
       var m = 0
-      var t = 0
-      while (t < parts.length) {
-        val p = parts(t)
-        var c = cursor(t)
-        while (c < p.qis.length && p.qis(c) == qi) {
-          scores(m) = p.scores(c); ids(m) = p.ids(c); matches(m) = p.matches(c)
-          m += 1; c += 1
-        }
-        cursor(t) = c
-        t += 1
+      for (p <- parts) {
+        val from = p.qOff(qi); val n = p.qOff(qi + 1) - from
+        System.arraycopy(p.scores, from, scores, m, n)
+        System.arraycopy(p.ids, from, ids, m, n)
+        System.arraycopy(p.matches, from, matches, m, n)
+        m += n
       }
       TopK.sort(scores, ids, matches, 0, m, opts.heapK)
       var i = 0
@@ -257,8 +247,9 @@ object BatchEngine {
 
   /** Per-Spark-partition execution over the partition's decoded posting
     * lists: evaluate each (filter, cell) query group — one filter pass
-    * (bitmap) and one batched score kernel per group. A cell's queries come
-    * from the plan's probe table already grouped by template.
+    * (its surviving rows) and one batched score kernel per group. A cell's
+    * queries come from the plan's probe table already grouped by template;
+    * without a table (an exhaustive pass) they are every query.
     */
   private def scanPartition(cells: mutable.HashMap[Int, Cell], plan: ExecPlan,
                             attrCols: Seq[String]): TaskResult = {
@@ -282,19 +273,29 @@ object BatchEngine {
       ok
     }
 
-    def evalFilter(preds: Array[(Pred, Int)], cell: Cell): Array[Boolean] = {
+    /** Writes the rows of `cell` that pass `preds` to `rows` from 0 on;
+      * returns how many passed.
+      */
+    def evalFilter(preds: Array[(Pred, Int)], cell: Cell, rows: Array[Int]): Int = {
       filterRows += cell.attrs.length
-      cell.attrs.map(matches(preds, _))
+      var count = 0
+      var i = 0
+      while (i < cell.attrs.length) { if (matches(preds, cell.attrs(i))) { rows(count) = i; count += 1 }; i += 1 }
+      count
     }
 
     // Strategy B's full-dataset bitmap construction: every template's filter
-    // over every local tuple, up front.
-    val eagerMasks: Map[(Int, Int), Array[Boolean]] =
+    // over every local tuple, up front, kept as each (cell, template)'s
+    // surviving rows.
+    val eagerRows: Map[(Int, Int), Array[Int]] =
       if (!plan.opts.eagerBitmap) Map.empty
       else (for {
         (c, cell) <- cells.iterator
         (tid, preds) <- compiled.iterator
-      } yield (c, tid) -> evalFilter(preds, cell)).toMap
+      } yield {
+        val rows = new Array[Int](cell.attrs.length)
+        (c, tid) -> java.util.Arrays.copyOf(rows, evalFilter(preds, cell, rows))
+      }).toMap
 
     val heaps = new Array[TopK](plan.queryTids.length)
     def heapOf(qi: Int): TopK = {
@@ -307,34 +308,32 @@ object BatchEngine {
 
     for ((c, cell) <- cells) {
       val block = cell.block
-      var from = plan.cellOff(c)
-      while (from < plan.cellOff(c + 1)) {
+      val last = if (plan.cellOff == null) qs.length else plan.cellOff(c + 1)
+      var from = if (plan.cellOff == null) 0 else plan.cellOff(c)
+      while (from < last) {
         // The run [from, until) of this cell's queries with template `tid`.
         val tid = plan.queryTids(qs(from))
         var until = from + 1
-        while (until < plan.cellOff(c + 1) && plan.queryTids(qs(until)) == tid) until += 1
+        while (until < last && plan.queryTids(qs(until)) == tid) until += 1
         val group = until - from
         tuplesScanned += block.n.toLong * group
-        val mask: Array[Boolean] =
-          if (plan.opts.postFilter) null
-          else if (plan.opts.eagerBitmap) eagerMasks((c, tid))
-          else if (plan.opts.attrBatching) evalFilter(compiled(tid), cell)
+        // The candidates are the posting list ∩ filter (§4.2 pushdown), as
+        // the `count` rows of `rows`: PostFilter takes every row.
+        if (survivors.length < block.n) survivors = new Array[Int](block.n)
+        var rows = survivors
+        val count =
+          if (plan.opts.postFilter) block.n
+          else if (plan.opts.eagerBitmap) { rows = eagerRows((c, tid)); rows.length }
           else {
             // No attribute batching: each query pays its own filter pass.
-            var m: Array[Boolean] = null
-            for (_ <- 0 until group) m = evalFilter(compiled(tid), cell)
-            m
+            var passed = 0
+            for (_ <- 0 until (if (plan.opts.attrBatching) 1 else group))
+              passed = evalFilter(compiled(tid), cell, survivors)
+            passed
           }
-        // The candidates are the posting list ∩ filter bitmap (§4.2
-        // pushdown): the cell's block itself when every row passes, else
-        // the surviving rows gathered into a scratch block.
-        var count = 0
-        if (mask != null) {
-          if (survivors.length < block.n) survivors = new Array[Int](block.n)
-          var i = 0
-          while (i < block.n) { if (mask(i)) { survivors(count) = i; count += 1 }; i += 1 }
-        }
-        val cand = if (mask == null || count == block.n) block else scorer.gather(block, survivors, count)
+        // The cell's block itself when every row passes, else the surviving
+        // rows gathered into a scratch block.
+        val cand = if (count == block.n) block else scorer.gather(block, rows, count)
         if (cand.n > 0) {
           distComps += cand.n.toLong * group
           // Algorithm 3 scores the whole query group with one kernel call;
@@ -363,16 +362,18 @@ object BatchEngine {
       for (cell <- cells.valuesIterator; j <- 0 until cell.block.n) m(cell.block.ids(j)) = cell.attrs(j)
       m
     }
-    val qis = new mutable.ArrayBuilder.ofInt
-    val scores = new mutable.ArrayBuilder.ofFloat
-    val ids = new mutable.ArrayBuilder.ofLong
-    val matched = new mutable.ArrayBuilder.ofBoolean
+    val qOff = new Array[Int](heaps.length + 1)
+    for (qi <- heaps.indices) qOff(qi + 1) = qOff(qi) + (if (heaps(qi) == null) 0 else heaps(qi).size)
+    val entries = qOff(heaps.length)
+    val scores = new Array[Float](entries)
+    val ids = new Array[Long](entries)
+    val matched = new Array[Boolean](entries)
     for (qi <- heaps.indices if heaps(qi) != null; h = heaps(qi); i <- 0 until h.size) {
-      qis += qi; scores += h.scoreAt(i); ids += h.idAt(i)
-      if (plan.opts.postFilter) filterRows += 1
-      matched += !plan.opts.postFilter || matches(compiled(plan.queryTids(qi)), attrsById(h.idAt(i)))
+      val e = qOff(qi) + i
+      scores(e) = h.scoreAt(i); ids(e) = h.idAt(i)
+      matched(e) = !plan.opts.postFilter || matches(compiled(plan.queryTids(qi)), attrsById(h.idAt(i)))
     }
-    TaskResult(qis.result(), scores.result(), ids.result(), matched.result(),
-               tuplesScanned, distComps, filterRows)
+    if (plan.opts.postFilter) filterRows += entries
+    TaskResult(qOff, scores, ids, matched, tuplesScanned, distComps, filterRows)
   }
 }

@@ -13,7 +13,9 @@ import repro.workload.{Template, Workload}
   * each query's template id and vector (query `q` is the `d` floats of
   * `queryVecs` from `q * d` on), and the probe table in CSR form: the
   * queries probing dense cell `c` are `cellQueries(cellOff(c) until
-  * cellOff(c + 1))`, grouped by template.
+  * cellOff(c + 1))`, grouped by template. An exhaustive pass has no probe
+  * table: `cellOff` is null, and every cell's queries are all of
+  * `cellQueries`.
   */
 private[engine] final case class ExecPlan(queryTids: Array[Int], queryVecs: Array[Float], d: Int,
                                           templates: Map[Int, Seq[Pred]],
@@ -34,18 +36,15 @@ private[core] final class CellRanker {
 
   /** For each query `q = qs(i)`, `i` in `from until until`: writes the
     * `min(nprobe(q), cents.n)` best cells of `cents` (its ids, as ints) to
-    * `out` from `outOff(q)` on. The queries are scored four at a time, and
-    * not at all when each takes every cell.
+    * `out` from `outOff(q)` on. The queries are scored four at a time; a
+    * query that takes every cell copies them in block order.
     */
   def rank(cents: Block, vecs: Array[Float], d: Int, qs: Array[Int], from: Int, until: Int,
            nprobe: Array[Int], out: Array[Int], outOff: Array[Int]): Unit = {
     val n = cents.n
-    var every = true
-    var i = from
-    while (i < until) { every &&= nprobe(qs(i)) >= n; i += 1 }
-    val flat = if (every) null else scorer.scores(vecs, d, qs, from, until, cents, IVF.AssignMetric)
+    val flat = scorer.scores(vecs, d, qs, from, until, cents, IVF.AssignMetric)
     if (rows.length < n) { work = new Array[Float](n); sel = new Array[Float](n); rows = new Array[Int](n) }
-    i = from
+    var i = from
     while (i < until) {
       val q = qs(i); val o = outOff(q); val np = nprobe(q)
       if (np >= n) {
@@ -120,7 +119,9 @@ private[engine] object PassPlan {
 
   /** A workload's queries as primitive arrays (see [[ExecPlan]]) with each
     * query's probed cells: query `q` probes the dense cells
-    * `cells(cellsOff(q) until cellsOff(q + 1))`.
+    * `cells(cellsOff(q) until cellsOff(q + 1))`. An exhaustive pass lists
+    * no cells (`cellsOff` and `cells` are null): every query scans every
+    * cell.
     */
   final class Ranked(val qids: Array[Long], val tids: Array[Int], val vecs: Array[Float], val d: Int,
                      val cellsOff: Array[Int], val cells: Array[Int], val routedTuples: Long)
@@ -131,7 +132,8 @@ private[engine] object PassPlan {
     * over the union of their centroids, which keeps nprobe semantics
     * comparable across single- and multi-partition layouts. Queries that
     * share a routed set (at m = 0, a template's) are ranked together
-    * against the set's centroids concatenated into one block.
+    * against the set's centroids concatenated into one block. An
+    * exhaustive pass is neither routed nor ranked: its plan lists no cells.
     */
   def rank(index: PartitionedIndex, workload: Workload, opts: EngineOptions): Ranked = {
     val nq = workload.queries.length
@@ -146,11 +148,12 @@ private[engine] object PassPlan {
       System.arraycopy(q.vec, 0, vecs, qi * d, d)
       qi += 1
     }
+    if (opts.exhaustive) return new Ranked(qids, tids, vecs, d, null, null, nq * index.leaves.map(_.size).sum)
 
     // Routes are per template, computed once here, unless they depend on
-    // the query vector (centroid routing, m > 0). An exhaustive pass visits
-    // every partition. Queries of a routed set are in CSR form, ascending.
-    val routing = if (opts.exhaustive) Routing.All else index.routing
+    // the query vector (centroid routing, m > 0). Queries of a routed set
+    // are in CSR form, ascending.
+    val routing = index.routing
     val numParts = index.numPartitions
     // Each query's routed set, numbered in order of first appearance.
     val setIds = mutable.HashMap.empty[Seq[Int], Int]
@@ -187,7 +190,7 @@ private[engine] object PassPlan {
     var total = 0L
     qi = 0
     while (qi < nq) {
-      nprobe(qi) = if (opts.exhaustive) Int.MaxValue else opts.nprobe.getOrElse(tids(qi), opts.defaultNprobe)
+      nprobe(qi) = opts.nprobe.getOrElse(tids(qi), opts.defaultNprobe)
       total += math.min(nprobe(qi), blocks(setOf(qi)).n)
       require(total < Int.MaxValue, s"a pass of $nq queries probes more than ${Int.MaxValue} cells")
       cellsOff(qi + 1) = total.toInt
@@ -214,11 +217,13 @@ private[engine] object PassPlan {
 
   /** The CSR probe table `(cellOff, cellQueries)` over `nCells` dense
     * cells: each cell's queries ordered by template (in `templates`
-    * order), then by query index, so a task scans template runs.
+    * order), then by query index, so a task scans template runs. For an
+    * exhaustive pass it is `(null, every query in that order)`.
     */
   def probeTable(r: Ranked, nCells: Int, templates: Seq[Template]): (Array[Int], Array[Int]) = {
     val tIdx = templates.iterator.map(_.id).zipWithIndex.toMap
     val byTemplate = csr(r.tids.map(tIdx), templates.length, r.tids.length)._2
+    if (r.cells == null) return (null, byTemplate)
     val cellOff = new Array[Int](nCells + 1)
     var i = 0
     while (i < r.cells.length) { cellOff(r.cells(i) + 1) += 1; i += 1 }

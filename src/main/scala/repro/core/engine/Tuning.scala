@@ -10,9 +10,12 @@ import repro.workload.Workload
   * Tuning runs the engine over a per-template query sample at escalating
   * nprobe (and, for PostFilter, candidate-expansion) settings, fixing each
   * template at the first setting that reaches the target. Templates that
-  * never reach it keep the largest setting; their achieved recall is
-  * reported so benches can mark them "target not reached" as the paper does
-  * for PostFilter on LP.
+  * never reach it keep the largest setting. The recall each template
+  * achieved on the sample at its last setting comes back in
+  * [[TuneResult.achievedRecall]], to tell a tuned template from one that
+  * only ran out of settings ([[TuneResult.allReached]]). Benches do not
+  * read it: `Harness.measure` marks "target not reached" (as the paper does
+  * for PostFilter on LP) from the recall of the measured pass itself.
   */
 object Tuning {
 

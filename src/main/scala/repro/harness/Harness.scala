@@ -135,8 +135,9 @@ object Harness {
     }
 
     // Exhaustive ground truth over the full workload (also the recall oracle).
-    val gt = BatchEngine.run(flatIdx, workload, EngineOptions(k = K, exhaustive = true)).results
-    log(s"ground truth computed for ${gt.size} queries")
+    val exhaustive = BatchEngine.run(flatIdx, workload, EngineOptions(k = K, exhaustive = true))
+    val gt = exhaustive.results
+    log(s"ground truth computed for ${gt.size} queries ${exhaustive.metrics.phases.describe}")
 
     val sample = workload.sampledPerTemplate(TunePerTemplate)
 

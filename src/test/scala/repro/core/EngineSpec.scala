@@ -97,6 +97,21 @@ class EngineSpec extends SparkSpec {
     for ((qid, rs) <- gt) assert(viaHqi(qid).map(_._1).sameElements(rs.map(_._1)), s"qid $qid differs")
   }
 
+  test("an exhaustive pass scans every row once per query") {
+    // Each query meets each row once: no (query, cell) is dropped or
+    // repeated. Filters run once per (cell, template with queries), and
+    // every row passing a query's template is scored for it.
+    val nq = workload.size.toLong
+    val templates = workload.queries.map(_.templateId).distinct.size
+    val matching = workload.queries.map(q => matchIds(q.templateId).size.toLong).sum
+    for (index <- Seq(hqi(this), flat(this))) {
+      val m = BatchEngine.run(index, workload, EngineOptions(k = workload.k, exhaustive = true)).metrics
+      assert(m.tuplesScanned == nq * N && m.routedTuples == nq * N, s"${index.name}: $m")
+      assert(m.filterRows == N * templates, s"${index.name}: $m")
+      assert(m.distComps == matching, s"${index.name}: $m vs $matching matching (query, row) pairs")
+    }
+  }
+
   test("HQI with exhaustive per-partition probing equals ground truth (routing is safe at m=0)") {
     // Probe every cell but keep qd-tree routing: with m = 0 routing must
     // never lose a satisfying tuple, so results are exact.
