@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.harness.Experiments
+import repro.harness.Strategy._
 
 /** Reproduces Table 3 (workload slowdown vs HQI @ recall ≥ 0.8) and Table 4
   * (index generation time vs HQI) over all five dataset stand-ins. The two
@@ -28,7 +29,7 @@ class Table3and4Bench extends SparkSpec {
   }
 
   test("Table 3: every strategy except PostFilter reaches the recall target") {
-    for (b <- result.benches; r <- b.rows if r.applicable && r.strategy != "PostFilter")
+    for (b <- result.benches; r <- b.rows if r.applicable && r.strategy != PostFilter)
       assert(r.reachedTarget, s"${b.dataset}/${r.strategy}: recall ${r.recall}")
   }
 
@@ -37,12 +38,12 @@ class Table3and4Bench extends SparkSpec {
     // work is single-digit milliseconds per core, so wall ratios compress to
     // ~1-2× around fixed per-pass costs; the pruning claim lives in the
     // deterministic counters (paper: 77% fewer tuples scanned at m=0).
-    val rows = bench("RelatedQS").rows
-    val hqi = rows.find(_.strategy == "HQI").get
-    val pre = rows.find(_.strategy == "PreFilter").get
+    val b = bench("RelatedQS")
+    val hqi = b.row(HQI).get
+    val pre = b.row(PreFilter).get
     assert(hqi.tuplesScanned * 2 < pre.tuplesScanned,
            s"HQI must scan <50% of PreFilter's tuples: ${hqi.tuplesScanned} vs ${pre.tuplesScanned}")
-    val s = bench("RelatedQS").slowdown("PreFilter").get
+    val s = b.slowdown(PreFilter).get
     assert(s > 0.6, s"HQI must not lose in wall time beyond noise, got ${s}×")
   }
 
@@ -52,7 +53,7 @@ class Table3and4Bench extends SparkSpec {
     // work is ~5k entries and the wall-clock difference sits inside Spark
     // overhead noise. The batching kernel's advantage is demonstrated in
     // MicrobenchBench instead; here we require HQI not to lose.
-    val s = bench("LP").slowdown("PreFilter").get
+    val s = bench("LP").slowdown(PreFilter).get
     assert(s > 0.65, s"paper: 19×; HQI must stay competitive, got ${s}×")
   }
 
@@ -63,8 +64,8 @@ class Table3and4Bench extends SparkSpec {
     // everything), and its scans sit between HQI's and PreFilter's.
     for (name <- Seq("MSTuring", "SIFT100M", "YandexT2I")) {
       val b = bench(name)
-      val hqi = b.rows.find(_.strategy == "HQI").get.tuplesScanned
-      val range = b.rows.find(_.strategy == "Range").get.tuplesScanned
+      val hqi = b.row(HQI).get.tuplesScanned
+      val range = b.row(Range).get.tuplesScanned
       assert(range > hqi, s"$name: Range ($range) must scan more than HQI ($hqi)")
     }
     // No wall-clock ordering assertion vs PreFilter: the paper's Range
@@ -78,22 +79,22 @@ class Table3and4Bench extends SparkSpec {
 
   test("Table 3: PostFilter is the slowest strategy on every dataset") {
     for (b <- result.benches) {
-      val post = b.slowdown("PostFilter").get
-      for (other <- Seq("PreFilter", "Range"); s <- b.slowdown(other))
+      val post = b.slowdown(PostFilter).get
+      for (other <- Seq(PreFilter, Range); s <- b.slowdown(other))
         assert(post > s, s"${b.dataset}: PostFilter $post× should exceed $other $s×")
     }
   }
 
   test("Table 3: PostFilter is the slowest strategy on RelatedQS") {
     val b = bench("RelatedQS")
-    val post = b.slowdown("PostFilter").get
-    val pre = b.slowdown("PreFilter").get
+    val post = b.slowdown(PostFilter).get
+    val pre = b.slowdown(PreFilter).get
     assert(post > pre, s"paper: 136× vs 31×; got PostFilter ${post}× PreFilter ${pre}×")
   }
 
   test("Table 3: Range is not applicable to RelatedQS and LP (IN / IS NOT NULL predicates)") {
-    assert(!bench("RelatedQS").rows.find(_.strategy == "Range").get.applicable)
-    assert(!bench("LP").rows.find(_.strategy == "Range").get.applicable)
+    assert(!bench("RelatedQS").row(Range).get.applicable)
+    assert(!bench("LP").row(Range).get.applicable)
   }
 
   test("Table 3: HQI matches or beats the best baseline on the public stand-ins") {
@@ -101,20 +102,20 @@ class Table3and4Bench extends SparkSpec {
     // baseline. Wall-clock gets a generous noise floor (sub-second runs).
     for (name <- Seq("MSTuring", "SIFT100M", "YandexT2I")) {
       val b = bench(name)
-      val hqi = b.rows.find(_.strategy == "HQI").get.tuplesScanned
-      for (other <- Seq("PreFilter", "PostFilter", "Range")) {
-        val o = b.rows.find(_.strategy == other).get.tuplesScanned
+      val hqi = b.row(HQI).get.tuplesScanned
+      for (other <- Seq(PreFilter, PostFilter, Range)) {
+        val o = b.row(other).get.tuplesScanned
         assert(hqi < o, s"$name: HQI scans $hqi, $other scans $o")
       }
-      val best = Seq("PreFilter", "PostFilter", "Range").flatMap(b.slowdown).min
+      val best = Seq(PreFilter, PostFilter, Range).flatMap(b.slowdown).min
       assert(best > 0.3, s"$name: HQI wall time should stay near the best baseline, best=$best×")
     }
   }
 
   test("Table 3 microstructure: HQI scans fewer tuples than PreFilter on RelatedQS (Fig. 5 shape)") {
-    val rows = bench("RelatedQS").rows
-    val hqi = rows.find(_.strategy == "HQI").get
-    val pre = rows.find(_.strategy == "PreFilter").get
+    val b = bench("RelatedQS")
+    val hqi = b.row(HQI).get
+    val pre = b.row(PreFilter).get
     assert(hqi.tuplesScanned < pre.tuplesScanned,
            s"hqi=${hqi.tuplesScanned} pre=${pre.tuplesScanned}")
     // Paper reports 77% fewer scans at m=0; require a clear reduction.
@@ -122,7 +123,7 @@ class Table3and4Bench extends SparkSpec {
   }
 
   test("Table 4: LP index generation is identical for HQI and PreFilter (no history => same build)") {
-    val r = bench("LP").buildRatio("PreFilter").get
+    val r = bench("LP").buildRatio(PreFilter).get
     assert(r > 0.5 && r < 2.0, s"paper: 1×; got ${r}×")
   }
 
@@ -130,19 +131,19 @@ class Table3and4Bench extends SparkSpec {
     // O(n√n) single-IVF training vs O(n√(n/p)) partitioned training. Asserted
     // on the aggregate across the three stand-ins to damp per-build noise.
     val names = Seq("MSTuring", "SIFT100M", "YandexT2I")
-    val hqiTotal = names.map(n => bench(n).rows.find(_.strategy == "HQI").get.buildMillis).sum
-    val preTotal = names.map(n => bench(n).rows.find(_.strategy == "PreFilter").get.buildMillis).sum
+    val hqiTotal = names.map(n => bench(n).row(HQI).get.buildMillis).sum
+    val preTotal = names.map(n => bench(n).row(PreFilter).get.buildMillis).sum
     val r = preTotal.toDouble / hqiTotal
     assert(r > 1.0, s"paper 1.9-2.8× per dataset; aggregate single-IVF training should be slower, got ${r}×")
     for (name <- names) {
-      val each = bench(name).buildRatio("PreFilter").get
+      val each = bench(name).buildRatio(PreFilter).get
       assert(each > 0.7, s"$name: grossly inverted build ratio ${each}×")
     }
   }
 
   test("Table 4: Range builds are comparable to HQI (both train partitioned IVFs)") {
     for (name <- Seq("MSTuring", "SIFT100M", "YandexT2I")) {
-      val r = bench(name).buildRatio("Range").get
+      val r = bench(name).buildRatio(Range).get
       assert(r > 0.3 && r < 2.0, s"$name: paper 0.58-0.85×, got ${r}×")
     }
   }

@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.harness.Experiments
+import repro.harness.Strategy._
 
 /** Reproduces Table 5: HQI trained only on split t0 keeps its advantage on
   * unseen future splits t1..t3 (filter stability).
@@ -25,23 +26,23 @@ class Table5Bench extends SparkSpec {
 
   test("Table 5: the t0-trained index reaches the recall target on every unseen split") {
     for (s <- 0 to 3) {
-      val r = result.recall(("HQI", s))
+      val r = result.recall((HQI, s))
       assert(r >= 0.78, s"split t$s: HQI recall $r with t0-trained index and t0-tuned nprobe")
     }
   }
 
   test("Table 5: HQI scans far fewer tuples than PreFilter on every split, including unseen ones") {
     for (s <- 0 to 3) {
-      val h = result.scanned(("HQI", s))
-      val p = result.scanned(("PreFilter", s))
+      val h = result.scanned((HQI, s))
+      val p = result.scanned((PreFilter, s))
       assert(h < p * 6 / 10, s"split t$s: HQI scanned $h vs PreFilter $p")
     }
   }
 
   test("Table 5: HQI's per-split scan work is stable (no re-indexing needed)") {
-    val base = result.scanned(("HQI", 0)).toDouble
+    val base = result.scanned((HQI, 0)).toDouble
     for (s <- 1 to 3) {
-      val ratio = result.scanned(("HQI", s)) / base
+      val ratio = result.scanned((HQI, s)) / base
       assert(ratio > 0.5 && ratio < 2.0,
              s"split t$s: scan ratio $ratio vs t0 should be near 1 (stable templates)")
     }
@@ -49,7 +50,7 @@ class Table5Bench extends SparkSpec {
 
   test("Table 5: HQI wall-clock throughput is at least competitive on every split") {
     for (s <- 0 to 3) {
-      val ratio = result.qps(("HQI", s)) / result.qps(("PreFilter", s))
+      val ratio = result.qps((HQI, s)) / result.qps((PreFilter, s))
       assert(ratio > 0.4,
              s"split t$s: HQI/PreFilter QPS ratio $ratio (paper: ~31×; noise-tolerant floor)")
     }

@@ -46,8 +46,6 @@ class HQIDataSource extends TableProvider with DataSourceRegister {
     require(p != null, "hqi source requires a path")
     new HQITable(p, HQIStore.readMeta(p))
   }
-
-  override def supportsExternalMetadata(): Boolean = false
 }
 
 object HQIDataSource {
@@ -90,10 +88,9 @@ private[datasource] class HQITable(path: String, meta: HQIStore.HQIStoreMeta)
 }
 
 private[datasource] class HQIScanBuilder(path: String, meta: HQIStore.HQIStoreMeta)
-    extends ScanBuilder with SupportsPushDownFilters with SupportsPushDownRequiredColumns {
+    extends ScanBuilder with SupportsPushDownFilters {
 
   private var pushed: Array[Filter] = Array.empty
-  private var required: StructType = HQIDataSource.schemaFor(meta)
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
     pushed = filters
@@ -104,19 +101,17 @@ private[datasource] class HQIScanBuilder(path: String, meta: HQIStore.HQIStoreMe
 
   override def pushedFilters(): Array[Filter] = pushed
 
-  override def pruneColumns(requiredSchema: StructType): Unit = { required = requiredSchema }
-
   override def build(): Scan = {
     val routed = meta.routing.route(pushed.toSeq.flatMap(HQIDataSource.toPred), None, meta.leaves.size).toSet
     val surviving = meta.leaves.filter(l => routed(l.partId))
-    new HQIScan(path, meta, surviving, required)
+    new HQIScan(path, meta, surviving)
   }
 }
 
 private[datasource] class HQIScan(path: String, meta: HQIStore.HQIStoreMeta,
-                                  leaves: Seq[HQIStore.LeafEntry], required: StructType)
+                                  leaves: Seq[HQIStore.LeafEntry])
     extends Scan with Batch {
-  override def readSchema(): StructType = required
+  override def readSchema(): StructType = HQIDataSource.schemaFor(meta)
   override def toBatch: Batch = this
   override def description(): String =
     s"HQIScan(path=$path, partitions=${leaves.size}/${meta.leaves.size})"
@@ -125,23 +120,19 @@ private[datasource] class HQIScan(path: String, meta: HQIStore.HQIStoreMeta,
     leaves.map(l => HQIInputPartition(s"$path/${l.file}", l.partId): InputPartition).toArray
 
   override def createReaderFactory(): PartitionReaderFactory =
-    new HQIReaderFactory(meta, required)
+    new HQIReaderFactory(meta)
 }
 
 private[datasource] final case class HQIInputPartition(file: String, partId: Int) extends InputPartition
 
-private[datasource] class HQIReaderFactory(meta: HQIStore.HQIStoreMeta, required: StructType)
+private[datasource] class HQIReaderFactory(meta: HQIStore.HQIStoreMeta)
     extends PartitionReaderFactory {
-  override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
-    val p = partition.asInstanceOf[HQIInputPartition]
-    new HQIPartitionReader(p, meta, required)
-  }
+  override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
+    new HQIPartitionReader(partition.asInstanceOf[HQIInputPartition], meta)
 }
 
-/** Streams one partition file, projecting to the required schema. */
-private[datasource] class HQIPartitionReader(part: HQIInputPartition,
-                                             meta: HQIStore.HQIStoreMeta,
-                                             required: StructType)
+/** Streams one partition file as full rows; Spark projects them. */
+private[datasource] class HQIPartitionReader(part: HQIInputPartition, meta: HQIStore.HQIStoreMeta)
     extends PartitionReader[InternalRow] {
 
   private def truncated(what: String, e: EOFException) =
@@ -153,10 +144,6 @@ private[datasource] class HQIPartitionReader(part: HQIInputPartition,
     catch { case e: EOFException => in.close(); throw truncated("no row-count header", e) }
   private var readCount = 0
   private var current: InternalRow = _
-
-  // Projection: for each required field, how to extract it from a record.
-  private val full = HQIDataSource.schemaFor(meta)
-  private val fieldOrder: Array[Int] = required.fields.map(f => full.fieldIndex(f.name))
 
   override def next(): Boolean = {
     if (readCount >= total) return false
@@ -176,10 +163,8 @@ private[datasource] class HQIPartitionReader(part: HQIInputPartition,
           else UTF8String.fromString(in.readUTF())
         a += 1
       }
-      val fullVals: Array[Any] =
-        (Array[Any](id, new GenericArrayData(vec.map(f => f: Any))) ++ attrVals) ++
-        Array[Any](part.partId, cluster)
-      current = new GenericInternalRow(fieldOrder.map(fullVals(_)))
+      current = new GenericInternalRow(
+        (Array[Any](id, new GenericArrayData(vec.map(f => f: Any))) ++ attrVals) ++ Array[Any](part.partId, cluster))
       readCount += 1
       true
     } catch {

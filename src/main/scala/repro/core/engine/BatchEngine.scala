@@ -112,7 +112,8 @@ object BatchEngine {
     * primitive arrays ([[PassPlan]]), one Spark job scans every partition,
     * and the driver merges the per-task heaps into one top-k per query.
     * The workload's metric must be the index's: candidates are scored with
-    * it.
+    * it. Every query vector must have the index's dimension and only finite
+    * components.
     */
   def run(index: PartitionedIndex, workload: Workload, opts: EngineOptions): EngineRun = {
     require(workload.metric == index.metric,

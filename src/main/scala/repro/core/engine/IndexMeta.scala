@@ -139,7 +139,8 @@ final class PartitionedIndex(val name: String,
                              val buildMillis: Long,
                              val buildPhases: BuildPhases) extends Serializable {
 
-  val leafById: Map[Int, LeafMeta] = leaves.map(l => l.partId -> l).toMap
+  /** Leaf `p`; every builder puts it at position `p` of `leaves`. */
+  def leafById(p: Int): LeafMeta = leaves(p)
 
   /** See [[BatchEngine.cellBase]]; leaf `p` is `leaves(p)`. */
   private[engine] val cellBase: Array[Int] = BatchEngine.cellBase(leaves)

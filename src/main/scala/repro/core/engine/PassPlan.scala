@@ -134,16 +134,23 @@ private[engine] object PassPlan {
     * share a routed set (at m = 0, a template's) are ranked together
     * against the set's centroids concatenated into one block. An
     * exhaustive pass is neither routed nor ranked: its plan lists no cells.
+    * Every query vector must have the index's dimension, that of its
+    * centroids, and only finite components.
     */
   def rank(index: PartitionedIndex, workload: Workload, opts: EngineOptions): Ranked = {
     val nq = workload.queries.length
-    val d = if (nq == 0) 0 else workload.queries(0).vec.length
+    val d = index.leaves(0).centroids(0).length
     val qids = new Array[Long](nq)
     val tids = new Array[Int](nq)
     val vecs = new Array[Float](nq * d)
     var qi = 0
     while (qi < nq) {
       val q = workload.queries(qi)
+      require(q.vec.length == d,
+              s"query ${q.qid} has dimension ${q.vec.length}, not that of index ${index.name}, $d")
+      var j = 0
+      while (j < d && java.lang.Float.isFinite(q.vec(j))) j += 1
+      require(j == d, s"query ${q.qid} has a non-finite component, ${q.vec(j)} at $j")
       qids(qi) = q.qid; tids(qi) = q.templateId
       System.arraycopy(q.vec, 0, vecs, qi * d, d)
       qi += 1

@@ -5,6 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.engine._
 import repro.core.qdtree.Pred
 import repro.core.vec.Metric
+import repro.harness.Strategy._
 import repro.workload._
 
 /** Drivers reproducing each evaluation table of the paper. Each driver
@@ -119,58 +120,54 @@ object Experiments {
   }
 
   /** Paper values for Tables 3 and 4 (slowdown / build-time vs HQI). */
-  val paperTable3: Map[(String, String), String] = Map(
-    ("PreFilter", "RelatedQS") -> "31×", ("PreFilter", "LP") -> "19×",
-    ("PreFilter", "MSTuring") -> "3.6×", ("PreFilter", "SIFT100M") -> "0.97×",
-    ("PreFilter", "YandexT2I") -> "1.7×",
-    ("PostFilter", "RelatedQS") -> "136×", ("PostFilter", "LP") -> "-",
-    ("PostFilter", "MSTuring") -> "22×", ("PostFilter", "SIFT100M") -> "4.1×",
-    ("PostFilter", "YandexT2I") -> "5.4×",
-    ("Range", "RelatedQS") -> "NA", ("Range", "LP") -> "NA",
-    ("Range", "MSTuring") -> "5.22×", ("Range", "SIFT100M") -> "1.2×",
-    ("Range", "YandexT2I") -> "3×")
+  val paperTable3: Map[(Strategy, String), String] = Map(
+    (PreFilter, "RelatedQS") -> "31×", (PreFilter, "LP") -> "19×",
+    (PreFilter, "MSTuring") -> "3.6×", (PreFilter, "SIFT100M") -> "0.97×",
+    (PreFilter, "YandexT2I") -> "1.7×",
+    (PostFilter, "RelatedQS") -> "136×", (PostFilter, "LP") -> "-",
+    (PostFilter, "MSTuring") -> "22×", (PostFilter, "SIFT100M") -> "4.1×",
+    (PostFilter, "YandexT2I") -> "5.4×",
+    (Range, "RelatedQS") -> "NA", (Range, "LP") -> "NA",
+    (Range, "MSTuring") -> "5.22×", (Range, "SIFT100M") -> "1.2×",
+    (Range, "YandexT2I") -> "3×")
 
-  val paperTable4: Map[(String, String), String] = Map(
-    ("PreFilter", "RelatedQS") -> "0.95×", ("PreFilter", "LP") -> "1×",
-    ("PreFilter", "MSTuring") -> "2.8×", ("PreFilter", "SIFT100M") -> "2.15×",
-    ("PreFilter", "YandexT2I") -> "1.9×",
-    ("Range", "RelatedQS") -> "NA", ("Range", "LP") -> "NA",
-    ("Range", "MSTuring") -> "0.85×", ("Range", "SIFT100M") -> "0.63×",
-    ("Range", "YandexT2I") -> "0.58×")
+  val paperTable4: Map[(Strategy, String), String] = Map(
+    (PreFilter, "RelatedQS") -> "0.95×", (PreFilter, "LP") -> "1×",
+    (PreFilter, "MSTuring") -> "2.8×", (PreFilter, "SIFT100M") -> "2.15×",
+    (PreFilter, "YandexT2I") -> "1.9×",
+    (Range, "RelatedQS") -> "NA", (Range, "LP") -> "NA",
+    (Range, "MSTuring") -> "0.85×", (Range, "SIFT100M") -> "0.63×",
+    (Range, "YandexT2I") -> "0.58×")
 
-  def renderTable3(benches: Seq[DatasetBench]): String = {
-    val names = benches.map(_.dataset)
-    val header = "Approach" +: names.flatMap(n => Seq(n, s"$n(paper)"))
-    def cell(strategy: String, b: DatasetBench): Seq[String] = {
-      val row = b.rows.find(_.strategy == strategy)
-      val measured = row match {
-        case Some(r) if !r.applicable => "NA"
-        case Some(r) if !r.reachedTarget && strategy == "PostFilter" =>
-          Harness.fmtRatio(b.slowdown(strategy)) + s" (recall ${f"${r.recall}%.2f"})"
-        case Some(_) => Harness.fmtRatio(b.slowdown(strategy))
-        case None => "?"
-      }
-      Seq(measured, paperTable3.getOrElse((strategy, b.dataset), if (strategy == "HQI") "1×" else "?"))
+  /** Table 3: each strategy's workload runtime over HQI's, noting the
+    * recall of a PostFilter run that missed the target.
+    */
+  def renderTable3(benches: Seq[DatasetBench]): String =
+    renderVsHQI(benches, Seq(HQI, PreFilter, PostFilter, Range), paperTable3) { (b, r) =>
+      val ratio = Harness.fmtRatio(b.slowdown(r.strategy))
+      if (r.strategy == PostFilter && !r.reachedTarget) ratio + f" (recall ${r.recall}%.2f)" else ratio
     }
-    val rows = Seq("HQI", "PreFilter", "PostFilter", "Range").map { s =>
-      s +: benches.flatMap(b =>
-        if (s == "HQI") Seq("1×", "1×") else cell(s, b))
-    }
-    Harness.renderTable(header, rows)
-  }
 
-  def renderTable4(benches: Seq[DatasetBench]): String = {
-    val header = "Approach" +: benches.map(_.dataset).flatMap(n => Seq(n, s"$n(paper)"))
-    val rows = Seq("HQI", "PreFilter", "Range").map { s =>
-      s +: benches.flatMap { b =>
-        val measured =
-          if (s == "HQI") "1×"
-          else b.rows.find(_.strategy == s) match {
-            case Some(r) if !r.applicable => "NA"
-            case _ => Harness.fmtRatio(b.buildRatio(s))
-          }
-        Seq(measured,
-            if (s == "HQI") "1×" else paperTable4.getOrElse((s, b.dataset), "?"))
+  /** Table 4: each strategy's index build time over HQI's. */
+  def renderTable4(benches: Seq[DatasetBench]): String =
+    renderVsHQI(benches, Seq(HQI, PreFilter, Range), paperTable4) { (b, r) =>
+      Harness.fmtRatio(b.buildRatio(r.strategy))
+    }
+
+  /** A table normalized by HQI: a row per strategy with, per dataset, the
+    * measured `cell` of its applicable row (`NA` when it does not apply,
+    * `?` when the dataset has no such row) and the `paper` value. HQI's
+    * row reads 1× throughout.
+    */
+  private def renderVsHQI(benches: Seq[DatasetBench], strategies: Seq[Strategy],
+                          paper: Map[(Strategy, String), String])
+                         (cell: (DatasetBench, StrategyRow) => String): String = {
+    val header = "Approach" +: benches.flatMap(b => Seq(b.dataset, s"${b.dataset}(paper)"))
+    val rows = strategies.map { s =>
+      s.toString +: benches.flatMap { b =>
+        if (s == HQI) Seq("1×", "1×")
+        else Seq(b.row(s).fold("?")(r => if (r.applicable) cell(b, r) else "NA"),
+                 paper.getOrElse((s, b.dataset), "?"))
       }
     }
     Harness.renderTable(header, rows)
@@ -184,9 +181,9 @@ object Experiments {
 
   // ------------------------------------------------------------------ Table 5
 
-  final case class Table5Result(qps: Map[(String, Int), Double],
-                                scanned: Map[(String, Int), Long],
-                                recall: Map[(String, Int), Double],
+  final case class Table5Result(qps: Map[(Strategy, Int), Double],
+                                scanned: Map[(Strategy, Int), Long],
+                                recall: Map[(Strategy, Int), Double],
                                 rendered: String)
 
   /** HQI trained on t0 only, then each split t0..t3 (three quarters of
@@ -203,16 +200,16 @@ object Experiments {
       HQIOptions(minSize = Harness.minSize(scale.n)))
     val flatIdx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
 
-    val gt0 = BatchEngine.run(flatIdx, t0, EngineOptions(k = Harness.K, exhaustive = true)).results
+    val gt0 = BatchEngine.run(flatIdx, t0, Exhaustive.opts).results
     val sample = t0.sampledPerTemplate(Harness.TunePerTemplate)
-    val indexes = Seq("HQI" -> hqiIdx, "PreFilter" -> flatIdx)
+    val indexes = Seq(HQI -> hqiIdx, PreFilter -> flatIdx)
     val opts = indexes.map { case (s, idx) => s -> Harness.tuned(s, idx, sample, gt0) }.toMap
 
     val measured = splits.zipWithIndex.flatMap { case (w, split) =>
       // Per-split exhaustive ground truth (splits t1..t3 are *unseen* by the
       // t0-trained index and the t0-tuned nprobe values).
       val gt = if (split == 0) gt0
-               else BatchEngine.run(flatIdx, w, EngineOptions(k = Harness.K, exhaustive = true)).results
+               else BatchEngine.run(flatIdx, w, Exhaustive.opts).results
       indexes.map { case (s, idx) => (s, split) -> Harness.measure(s, idx, w, opts(s), gt) }
     }.toMap
     val qps = measured.map { case (key, r) => key -> splits(key._2).size * 1000.0 / math.max(1L, r.runMillis) }
@@ -220,19 +217,19 @@ object Experiments {
     val recall = measured.map { case (key, r) => key -> r.recall }
     hqiIdx.unpersist(); flatIdx.unpersist(); kg.unpersist()
 
-    val base = qps(("HQI", 0))
-    val paper = Map(("HQI", 0) -> "1×", ("HQI", 1) -> "1.05×", ("HQI", 2) -> "1.03×",
-                    ("HQI", 3) -> "1.05×", ("PreFilter", 0) -> ".032×",
-                    ("PreFilter", 1) -> ".031×", ("PreFilter", 2) -> ".032×",
-                    ("PreFilter", 3) -> ".032×")
+    val base = qps((HQI, 0))
+    val paper = Map(
+      (HQI, 0) -> "1×", (HQI, 1) -> "1.05×", (HQI, 2) -> "1.03×", (HQI, 3) -> "1.05×",
+      (PreFilter, 0) -> ".032×", (PreFilter, 1) -> ".031×", (PreFilter, 2) -> ".032×",
+      (PreFilter, 3) -> ".032×")
     val header = Seq("Approach", "t0", "t1", "t2", "t3",
                      "t0(paper)", "t1(paper)", "t2(paper)", "t3(paper)")
-    val rows = Seq("HQI", "PreFilter").map { s =>
-      s +: ((0 to 3).map(i => f"${qps((s, i)) / base}%.3f×") ++
+    val rows = Seq(HQI, PreFilter).map { s =>
+      s.toString +: ((0 to 3).map(i => f"${qps((s, i)) / base}%.3f×") ++
             (0 to 3).map(i => paper((s, i))))
     }
-    val scanRows = Seq("HQI", "PreFilter").map { s =>
-      s +: (0 to 3).map(i => f"${scanned((s, i))}%d (recall ${recall((s, i))}%.2f)")
+    val scanRows = Seq(HQI, PreFilter).map { s =>
+      s.toString +: (0 to 3).map(i => f"${scanned((s, i))}%d (recall ${recall((s, i))}%.2f)")
     }
     val rendered = Harness.renderTable(header, rows) +
       "\n\ntuples scanned per split (deterministic):\n" +

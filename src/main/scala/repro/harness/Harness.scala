@@ -6,10 +6,28 @@ import repro.core.engine._
 import repro.core.vec.Metric
 import repro.workload.Workload
 
+/** A query-answering strategy the evaluation (§6.1) runs: HQI or one of
+  * Strategies A–D of §2.2, with its engine options at [[Harness.K]]. All
+  * baselines batch queries by attribute constraint (the paper enables this
+  * for every baseline); only HQI adds vector-similarity batching
+  * (Algorithm 3). PreFilter additionally pays Strategy B's full-dataset
+  * bitmap construction.
+  */
+sealed abstract class Strategy(val opts: EngineOptions) extends Product with Serializable
+
+object Strategy {
+  case object HQI extends Strategy(EngineOptions(k = Harness.K))
+  case object PreFilter extends Strategy(EngineOptions(k = Harness.K, vectorBatching = false, eagerBitmap = true))
+  case object PostFilter extends Strategy(EngineOptions(k = Harness.K, vectorBatching = false, postFilter = true))
+  case object Range extends Strategy(EngineOptions(k = Harness.K, vectorBatching = false))
+  /** Strategy A: exact results, the ground truth of every recall figure. */
+  case object Exhaustive extends Strategy(EngineOptions(k = Harness.K, exhaustive = true))
+}
+
 /** One strategy's measured numbers on one dataset; `phases` splits the
   * measured pass (none for a strategy that does not apply).
   */
-final case class StrategyRow(strategy: String,
+final case class StrategyRow(strategy: Strategy,
                              buildMillis: Long,
                              runMillis: Long,
                              tuplesScanned: Long,
@@ -24,16 +42,16 @@ final case class StrategyRow(strategy: String,
   * "normalized by HQI" tables.
   */
 final case class DatasetBench(dataset: String, rows: Seq[StrategyRow]) {
-  private def row(s: String): Option[StrategyRow] = rows.find(_.strategy == s)
+  def row(s: Strategy): Option[StrategyRow] = rows.find(_.strategy == s)
 
   /** Table 3 cell: strategy runtime / HQI runtime. */
-  def slowdown(strategy: String): Option[Double] =
-    for (h <- row("HQI"); s <- row(strategy) if s.applicable)
+  def slowdown(strategy: Strategy): Option[Double] =
+    for (h <- row(Strategy.HQI); s <- row(strategy) if s.applicable)
       yield s.runMillis.toDouble / math.max(1L, h.runMillis)
 
   /** Table 4 cell: strategy build time / HQI build time. */
-  def buildRatio(strategy: String): Option[Double] =
-    for (h <- row("HQI"); s <- row(strategy) if s.applicable)
+  def buildRatio(strategy: Strategy): Option[Double] =
+    for (h <- row(Strategy.HQI); s <- row(strategy) if s.applicable)
       yield s.buildMillis.toDouble / math.max(1L, h.buildMillis)
 }
 
@@ -58,27 +76,14 @@ object Harness {
     */
   def minSize(n: Long): Int = math.max(512, (n / 64).toInt)
 
-  /** Engine options per strategy. All baselines batch queries by attribute
-    * constraint (the paper enables this for every baseline); only HQI adds
-    * vector-similarity batching (Algorithm 3). PreFilter additionally pays
-    * Strategy B's full-dataset bitmap construction.
-    */
-  def strategyOpts(strategy: String): EngineOptions = strategy match {
-    case "HQI"        => EngineOptions(k = K, vectorBatching = true, attrBatching = true)
-    case "PreFilter"  => EngineOptions(k = K, vectorBatching = false, attrBatching = true, eagerBitmap = true)
-    case "PostFilter" => EngineOptions(k = K, vectorBatching = false, attrBatching = true, postFilter = true)
-    case "Range"      => EngineOptions(k = K, vectorBatching = false, attrBatching = true)
-    case other        => throw new IllegalArgumentException(s"unknown strategy $other")
-  }
-
   /** `strategy`'s engine options tuned per template on `sample` to the
     * target recall against `gt`, after one untimed warm-up pass over the
     * sample so the first strategy measured does not absorb JIT compilation
     * and cache-warming costs.
     */
-  def tuned(strategy: String, index: PartitionedIndex, sample: Workload,
+  def tuned(strategy: Strategy, index: PartitionedIndex, sample: Workload,
             gt: Map[Long, Array[(Long, Float)]]): EngineOptions = {
-    val base = strategyOpts(strategy)
+    val base = strategy.opts
     val tune = Tuning.tuneNprobe(index, sample, gt, TargetRecall, K, base = base)
     val opts = base.copy(nprobe = tune.nprobe, postFilterExpansion = tune.expansion)
     BatchEngine.run(index, sample, opts)
@@ -89,7 +94,7 @@ object Harness {
     * passes, which damps GC/scheduler noise (PostFilter is slow enough that
     * one pass suffices), and its recall against `gt`.
     */
-  def measure(strategy: String, index: PartitionedIndex, workload: Workload, opts: EngineOptions,
+  def measure(strategy: Strategy, index: PartitionedIndex, workload: Workload, opts: EngineOptions,
               gt: Map[Long, Array[(Long, Float)]]): StrategyRow = {
     val run = Seq.fill(if (opts.postFilter) 1 else 2)(BatchEngine.run(index, workload, opts))
       .minBy(_.metrics.wallMillis)
@@ -135,13 +140,13 @@ object Harness {
     }
 
     // Exhaustive ground truth over the full workload (also the recall oracle).
-    val exhaustive = BatchEngine.run(flatIdx, workload, EngineOptions(k = K, exhaustive = true))
+    val exhaustive = BatchEngine.run(flatIdx, workload, Strategy.Exhaustive.opts)
     val gt = exhaustive.results
     log(s"ground truth computed for ${gt.size} queries ${exhaustive.metrics.phases.describe}")
 
     val sample = workload.sampledPerTemplate(TunePerTemplate)
 
-    def timed(strategy: String, index: PartitionedIndex): StrategyRow = {
+    def timed(strategy: Strategy, index: PartitionedIndex): StrategyRow = {
       val row = measure(strategy, index, workload, tuned(strategy, index, sample, gt), gt)
       log(f"$strategy%-10s run=${row.runMillis}%6d ms scanned=${row.tuplesScanned}%12d " +
           f"dist=${row.distComps}%12d recall=${row.recall}%.3f reached=${row.reachedTarget} " +
@@ -150,14 +155,11 @@ object Harness {
     }
 
     val rows = Seq(
-      timed("HQI", hqiIdx),
-      timed("PreFilter", flatIdx),
-      timed("PostFilter", flatIdx)) ++
-      (rangeIdx match {
-        case Some(r) => Seq(timed("Range", r))
-        case None => Seq(StrategyRow("Range", 0, 0, 0, 0, 0, 0.0,
-                                     reachedTarget = false, applicable = false))
-      })
+      timed(Strategy.HQI, hqiIdx),
+      timed(Strategy.PreFilter, flatIdx),
+      timed(Strategy.PostFilter, flatIdx),
+      rangeIdx.fold(StrategyRow(Strategy.Range, 0, 0, 0, 0, 0, 0.0, reachedTarget = false, applicable = false))(
+        timed(Strategy.Range, _)))
 
     hqiIdx.unpersist(); flatIdx.unpersist(); rangeIdx.foreach(_.unpersist())
     DatasetBench(name, rows)

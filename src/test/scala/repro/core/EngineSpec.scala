@@ -10,7 +10,7 @@ import repro.SparkSpec
 import repro.core.engine._
 import repro.core.qdtree.Pred
 import repro.core.vec.Metric
-import repro.harness.Harness
+import repro.harness.Strategy
 import repro.workload.{HybridQuery, KGData, Template, Templates, Workload}
 
 /** Shared small-scale fixtures: one KG database and its indexes, built once
@@ -291,7 +291,7 @@ class EngineSpec extends SparkSpec {
     assert(expected.size < workload.size, "some query should have no post-filter survivors")
 
     val allCells = flat(this).leaves.map(_.centroids.length).sum
-    val run = BatchEngine.run(flat(this), workload, Harness.strategyOpts("PostFilter")
+    val run = BatchEngine.run(flat(this), workload, Strategy.PostFilter.opts
       .copy(defaultNprobe = allCells, postFilterExpansion = expansion))
     assert(run.results.keySet == expected.keySet)
     for ((qid, ids) <- expected)
@@ -313,9 +313,25 @@ class EngineSpec extends SparkSpec {
     assert(e.getMessage.contains("L2") && e.getMessage.contains("IP"), e.getMessage)
   }
 
+  test("a query vector of the wrong dimension or with a non-finite component is rejected, naming the query") {
+    val qs = history(this).queries
+    val last = qs.last
+    for (index <- Seq(hqi(this), flat(this))) {
+      def rejected(queries: IndexedSeq[HybridQuery]): String = intercept[IllegalArgumentException](
+        BatchEngine.run(index, history(this).copy(queries = queries), EngineOptions())).getMessage
+      val shorter = rejected(qs.map(q => q.copy(vec = q.vec.take(D - 1))))
+      assert(shorter.contains(s"query ${qs.head.qid} has dimension ${D - 1}") && shorter.endsWith(s", $D"), shorter)
+      val longer = rejected(qs.init :+ last.copy(vec = last.vec :+ 0.5f))
+      assert(longer.contains(s"query ${last.qid} has dimension ${D + 1}") && longer.endsWith(s", $D"), longer)
+      val nan = rejected(qs.init :+ last.copy(vec = last.vec.updated(3, Float.NaN)))
+      assert(nan.contains(s"query ${last.qid} has a non-finite component"), nan)
+    }
+  }
+
   test("work counters are identical across two passes of the same workload") {
-    for ((strategy, index) <- Seq("HQI" -> hqi(this), "PreFilter" -> flat(this), "PostFilter" -> flat(this))) {
-      val opts = Harness.strategyOpts(strategy).copy(defaultNprobe = 4)
+    for ((strategy, index) <- Seq(Strategy.HQI -> hqi(this), Strategy.PreFilter -> flat(this),
+                                  Strategy.PostFilter -> flat(this))) {
+      val opts = strategy.opts.copy(defaultNprobe = 4)
       val Seq(a, b) = Seq.fill(2)(BatchEngine.run(index, workload, opts).metrics).map(untimed)
       assert(a == b, s"$strategy counters differ between passes")
       assert(a.tuplesScanned > 0 && a.distComps > 0 && a.routedTuples > 0, s"$strategy: $a")

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.core.engine._
-import repro.harness.Harness
+import repro.harness.{Harness, Strategy}
 import repro.workload.Workload
 
 /** nprobe / expansion tuning against exhaustive ground truth. Reuses the
@@ -54,7 +54,7 @@ class TuningSpec extends SparkSpec {
   }
 
   test("the harness tunes PostFilter to the same nprobe and expansion with or without vector batching") {
-    val opts = Harness.tuned("PostFilter", flat(this), sample, gt)
+    val opts = Harness.tuned(Strategy.PostFilter, flat(this), sample, gt)
     val batched = Tuning.tuneNprobe(flat(this), sample, gt, Harness.TargetRecall, Harness.K,
                                     base = EngineOptions(postFilter = true))
     assert(!opts.vectorBatching && opts.postFilter)
