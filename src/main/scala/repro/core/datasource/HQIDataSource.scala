@@ -4,8 +4,7 @@ import java.io.{BufferedInputStream, DataInputStream, EOFException, FileInputStr
 import java.util
 
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
-import org.apache.spark.sql.catalyst.util.GenericArrayData
+import org.apache.spark.sql.catalyst.expressions.{GenericInternalRow, UnsafeArrayData}
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
@@ -148,23 +147,26 @@ private[datasource] class HQIPartitionReader(part: HQIInputPartition, meta: HQIS
   override def next(): Boolean = {
     if (readCount >= total) return false
     try {
-      val id = in.readLong()
-      val cluster = in.readInt()
+      // The row's values in schema order: id, vec, the attributes, __part,
+      // __cluster; the vector as one primitive array.
+      val n = meta.attrs.length
+      val values = new Array[Any](n + 4)
+      values(0) = in.readLong()
+      values(n + 3) = in.readInt()
       val vec = new Array[Float](meta.dim)
       var i = 0
       while (i < meta.dim) { vec(i) = in.readFloat(); i += 1 }
-      val attrVals = new Array[Any](meta.attrs.length)
+      values(1) = UnsafeArrayData.fromPrimitiveArray(vec)
       var a = 0
-      while (a < meta.attrs.length) {
-        val present = in.readByte()
-        attrVals(a) =
-          if (present == 0) null
+      while (a < n) {
+        values(a + 2) =
+          if (in.readByte() == 0) null
           else if (meta.attrs(a).dataType == DoubleType) in.readDouble()
           else UTF8String.fromString(in.readUTF())
         a += 1
       }
-      current = new GenericInternalRow(
-        (Array[Any](id, new GenericArrayData(vec.map(f => f: Any))) ++ attrVals) ++ Array[Any](part.partId, cluster))
+      values(n + 2) = part.partId
+      current = new GenericInternalRow(values)
       readCount += 1
       true
     } catch {

@@ -28,9 +28,9 @@ object HQIStore {
   /** Per-partition entry: file name and row count. */
   final case class LeafEntry(partId: Int, size: Long, file: String) extends Serializable
 
-  /** @param routing decides which leaves a pushed conjunction can touch: the
-    *                index's own routing for a qd-tree layout, [[Routing.All]]
-    *                (never prune) for the others
+  /** @param routing decides which leaves a pushed conjunction can touch:
+    *                the index's own routing ([[Routing.All]], never prune,
+    *                for a flat index)
     */
   final case class HQIStoreMeta(dim: Int,
                                 metricName: String,
@@ -97,13 +97,6 @@ object HQIStore {
       LeafEntry(lm.partId, partRows.length.toLong, fileName)
     }
 
-    // Qd-tree semantic bits were evaluated by Catalyst, so they prune Spark
-    // scans safely; range bounds compare like Scala (NaN lands in bucket 0,
-    // while Catalyst's NaN is greater than every number), so they do not.
-    val routing = index.routing match {
-      case r: Routing.ByQDTree => r
-      case _                   => Routing.All
-    }
-    writeMeta(path, HQIStoreMeta(dim, index.metric.name, attrs, routing, leafEntries.toSeq))
+    writeMeta(path, HQIStoreMeta(dim, index.metric.name, attrs, index.routing, leafEntries.toSeq))
   }
 }

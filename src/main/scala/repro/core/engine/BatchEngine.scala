@@ -24,10 +24,10 @@ import repro.workload.Workload
   *                        batching" baseline of Fig. 7c)
   * @param postFilter      Strategy D: ignore filters during the scan, keep
   *                        `k × postFilterExpansion` candidates, filter after
-  * @param eagerBitmap     Strategy B bitmap construction: evaluate every
-  *                        template's filter over every local tuple up front
-  *                        (full-dataset bitmaps), instead of lazily only in
-  *                        probed cells
+  * @param eagerBitmap     Strategy B bitmap construction: evaluate the
+  *                        filter of every template the pass has queries of
+  *                        over every local tuple up front (full-dataset
+  *                        bitmaps), instead of lazily only in probed cells
   * @param exhaustive      Strategy A: every query scans every cell of every
   *                        partition, with no routing, ranking or probe table
   *                        — exact results, used as ground truth
@@ -126,8 +126,11 @@ object BatchEngine {
     val rankMs = laps.lap()
     val (cellOff, cellQueries) = PassPlan.probeTable(ranked, index.cellBase(index.numPartitions), workload.templates)
     val probesMs = laps.lap()
+    // The plan carries only the templates that have queries: a task filters
+    // by each (eagerly, for Strategy B, over every row).
     val planB = index.cells.sparkContext.broadcast(ExecPlan(
-      ranked.tids, ranked.vecs, ranked.d, workload.templates.map(t => t.id -> t.preds).toMap,
+      ranked.tids, ranked.vecs, ranked.d,
+      workload.queries.map(q => q.templateId -> workload.templateById(q.templateId).preds).toMap,
       cellOff, cellQueries, index.metric, opts))
     try {
       val broadcastMs = laps.lap()
@@ -285,9 +288,9 @@ object BatchEngine {
       count
     }
 
-    // Strategy B's full-dataset bitmap construction: every template's filter
-    // over every local tuple, up front, kept as each (cell, template)'s
-    // surviving rows.
+    // Strategy B's full-dataset bitmap construction: the filter of every
+    // template in the plan over every local tuple, up front, kept as each
+    // (cell, template)'s surviving rows.
     val eagerRows: Map[(Int, Int), Array[Int]] =
       if (!plan.opts.eagerBitmap) Map.empty
       else (for {

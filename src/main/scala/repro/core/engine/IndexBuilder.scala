@@ -9,7 +9,7 @@ import scala.collection.mutable
 
 import repro.core.ivf.IVF
 import repro.core.qdtree.{Pred, QDTree, RoutedQuery}
-import repro.core.vec.{KMeans, Metric}
+import repro.core.vec.{KMeans, Metric, VectorOps}
 import repro.workload.Workload
 
 /** Options for workload-aware index construction (§4.1).
@@ -49,7 +49,8 @@ object IndexBuilder {
 
   /** Every row's id and vector in id order; tuple `i` of a build is the row
     * with id `ids(i)`. The same collect carries the `extra` columns, which
-    * `each(row)`, called in tuple order, reads from position 2 on.
+    * `each(row)`, called in tuple order, reads from position 2 on. Every
+    * vector must have the first row's dimension and only finite components.
     */
   private def collectVectors(db: DataFrame, extra: Seq[Column] = Nil)(each: Row => Unit)
       : (Array[Long], Array[Array[Float]]) = {
@@ -60,6 +61,7 @@ object IndexBuilder {
     while (i < rows.length) {
       ids(i) = rows(i).getLong(0)
       vecs(i) = rows(i).getSeq[Float](1).toArray
+      VectorOps.requireScorable(vecs(i), vecs(0).length, s"row ${ids(i)}", s"row ${ids(0)}")
       each(rows(i))
       i += 1
     }
@@ -130,22 +132,21 @@ object IndexBuilder {
   }
 
   /** Strategy C layout: equi-depth range partitions on `rangeAttr`, one IVF
-    * (√|Pᵢ| cells) per partition. Rows with no value go to the first bucket.
+    * (√|Pᵢ| cells) per partition. A row's bucket is the number of cuts its
+    * value is at or above, as Catalyst compares; rows with no value go to
+    * the first bucket.
     */
   def buildRange(db: DataFrame, attrCols: Seq[String], metric: Metric,
                  rangeAttr: String, numParts: Int): PartitionedIndex = {
     val laps = new Laps
     val probs = (1 until numParts).map(_.toDouble / numParts).toArray
-    val cuts = db.stat.approxQuantile(rangeAttr, probs, 0.001)
+    // (Spark returns null, not an empty array, for no probabilities.)
+    val cuts = if (probs.isEmpty) probs else db.stat.approxQuantile(rangeAttr, probs, 0.001)
     val edges = (Double.NegativeInfinity +: cuts.toIndexedSeq) :+ Double.PositiveInfinity
-    val bucket = udf { (v: Double) =>
-      var b = 0
-      while (b < numParts - 1 && v >= cuts(b)) b += 1
-      b
-    }
+    val bucket = cuts.foldLeft(lit(0))((b, c) => b + when(Pred.NumCmp(rangeAttr, Pred.Ge, c).toColumn, 1).otherwise(0))
     val partitionMs = laps.lap()
     val parts = new mutable.ArrayBuilder.ofInt
-    val (ids, vecs) = collectVectors(db, Seq(coalesce(bucket(col(rangeAttr)), lit(0))))(r => parts += r.getInt(2))
+    val (ids, vecs) = collectVectors(db, Seq(bucket))(r => parts += r.getInt(2))
     build("Range", db, attrCols, metric, Routing.ByRange(rangeAttr, edges.zip(edges.tail)),
           ids, vecs, parts.result(), numParts, laps, laps.lap(), partitionMs)
   }

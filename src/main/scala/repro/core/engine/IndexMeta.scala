@@ -60,22 +60,26 @@ object Routing {
     */
   final case class CentroidRouting(m: Int, global: Array[Array[Float]])
   /** Range-partitioned on one numeric attribute (Strategy C); partition `i`
-    * covers `[bounds(i)._1, bounds(i)._2)`. Predicates on other attributes
-    * cannot prune range partitions (the paper's point about Strategy C and
-    * non-partitioning attributes).
+    * covers `[bounds(i)._1, bounds(i)._2)` in [[Pred.compare]]'s order, and
+    * the last one is closed above, so it also holds +∞ and NaN. Predicates
+    * on other attributes cannot prune range partitions (the paper's point
+    * about Strategy C and non-partitioning attributes).
     */
   final case class ByRange(attr: String, bounds: IndexedSeq[(Double, Double)]) extends Routing {
     def route(conjunction: Seq[Pred], qvec: Option[Array[Float]], numParts: Int): Seq[Int] =
       bounds.indices.filter { p =>
         val (lo, hi) = bounds(p)
         conjunction.forall {
-          case Pred.NumCmp(a, op, v) if a == attr => op match {
-            case Pred.Lt   => lo < v
-            case Pred.Le   => lo <= v
-            case Pred.Gt   => hi > v       // hi is exclusive: some x < hi with x > v needs hi > v + eps; conservative
-            case Pred.Ge   => hi > v
-            case Pred.EqOp => lo <= v && v < hi
-          }
+          case Pred.NumCmp(a, op, v) if a == attr =>
+            // Whether the partition may hold some x >= v; x > v also needs
+            // v below NaN, the top of the order.
+            val reaches = p == bounds.length - 1 || Pred.compare(hi, v) > 0
+            op match {
+              case Pred.Lt | Pred.Le => op.holds(Pred.compare(lo, v))
+              case Pred.Gt   => reaches && !v.isNaN
+              case Pred.Ge   => reaches
+              case Pred.EqOp => Pred.compare(lo, v) <= 0 && reaches
+            }
           case _ => true
         }
       }
@@ -116,7 +120,11 @@ private[engine] final class Laps {
   *                     (materialize)
   */
 final case class BuildPhases(collectMs: Long, partitionMs: Long, leafIvfMs: Long,
-                             leafIvfSumMs: Long, leafIvfMaxMs: Long, layoutMs: Long)
+                             leafIvfSumMs: Long, leafIvfMaxMs: Long, layoutMs: Long) {
+  def describe: String =
+    s"collect=$collectMs partition=$partitionMs leafIvf=$leafIvfMs (sum $leafIvfSumMs, max $leafIvfMaxMs) " +
+    s"layout=$layoutMs ms"
+}
 
 /** A built, partitioned vector index. Its only resident copy is `cells`:
   * the decoded posting lists, one persisted map from dense cell index to

@@ -6,7 +6,7 @@ import scala.collection.mutable
 
 import repro.core.ivf.IVF
 import repro.core.qdtree.Pred
-import repro.core.vec.{BatchScorer, Block, Metric}
+import repro.core.vec.{BatchScorer, Block, Metric, VectorOps}
 import repro.workload.{Template, Workload}
 
 /** The plan of one batch pass as primitive arrays, broadcast to every task:
@@ -146,11 +146,7 @@ private[engine] object PassPlan {
     var qi = 0
     while (qi < nq) {
       val q = workload.queries(qi)
-      require(q.vec.length == d,
-              s"query ${q.qid} has dimension ${q.vec.length}, not that of index ${index.name}, $d")
-      var j = 0
-      while (j < d && java.lang.Float.isFinite(q.vec(j))) j += 1
-      require(j == d, s"query ${q.qid} has a non-finite component, ${q.vec(j)} at $j")
+      VectorOps.requireScorable(q.vec, d, s"query ${q.qid}", s"index ${index.name}")
       qids(qi) = q.qid; tids(qi) = q.templateId
       System.arraycopy(q.vec, 0, vecs, qi * d, d)
       qi += 1

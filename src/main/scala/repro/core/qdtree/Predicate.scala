@@ -8,9 +8,15 @@ import org.apache.spark.sql.functions._
   *
   * Each predicate can be evaluated two ways, and both must agree:
   *   - [[Pred.toColumn]] — as a Catalyst [[Column]], for the tuple
-  *     signatures of the index build's collect and for filter pushdown;
+  *     signatures of the index build's collect, Range buckets and filter
+  *     pushdown;
   *   - [[Pred.evalValue]] — on one attribute value inside `mapPartitions`,
   *     for per-cell filter bitmaps during batch search.
+  *
+  * For numbers they agree by construction: [[Pred.compare]] is Catalyst's
+  * order of doubles, and it is the only Scala comparison of attribute values
+  * (range routing uses it too). NaN equals NaN and sorts above +∞; −0.0
+  * equals 0.0.
   *
   * Attribute values are `Double` (numeric), `String` (categorical) or `null`
   * (SQL NULL; every comparison on NULL is false, as in SQL three-valued logic
@@ -32,23 +38,26 @@ object Pred {
   /** Reserved column name carrying the global-centroid attribute `t.c`. */
   val CentroidAttr = "__centroid"
 
-  sealed trait CmpOp extends Serializable { def sym: String }
-  case object Lt extends CmpOp { val sym = "<"  }
-  case object Le extends CmpOp { val sym = "<=" }
-  case object Gt extends CmpOp { val sym = ">"  }
-  case object Ge extends CmpOp { val sym = ">=" }
-  case object EqOp extends CmpOp { val sym = "=" }
+  /** A comparison operator: `holds(c)` says whether `x ⊘ y` is true when
+    * [[compare]]`(x, y)` is `c`.
+    */
+  sealed trait CmpOp extends Serializable { def sym: String; def holds(c: Int): Boolean }
+  case object Lt extends CmpOp { val sym = "<"; def holds(c: Int): Boolean = c < 0 }
+  case object Le extends CmpOp { val sym = "<="; def holds(c: Int): Boolean = c <= 0 }
+  case object Gt extends CmpOp { val sym = ">"; def holds(c: Int): Boolean = c > 0 }
+  case object Ge extends CmpOp { val sym = ">="; def holds(c: Int): Boolean = c >= 0 }
+  case object EqOp extends CmpOp { val sym = "="; def holds(c: Int): Boolean = c == 0 }
+
+  /** Catalyst's order of doubles: equal when `x == y`, otherwise as
+    * `java.lang.Double.compare`, so NaN equals NaN and is above +∞, and −0.0
+    * equals 0.0. Negative, zero or positive as `x` is below, at or above `y`.
+    */
+  def compare(x: Double, y: Double): Int = if (x == y) 0 else java.lang.Double.compare(x, y)
 
   /** Numeric unary comparison `attr ⊘ value`. */
   final case class NumCmp(attr: String, op: CmpOp, value: Double) extends Pred {
     def evalValue(x: Any): Boolean = x match {
-      case n: Number =>
-        val v = n.doubleValue
-        op match {
-          case Lt => v < value; case Le => v <= value
-          case Gt => v > value; case Ge => v >= value
-          case EqOp => v == value
-        }
+      case n: Number => op.holds(compare(n.doubleValue, value))
       case _ => false
     }
     def toColumn: Column = op match {

@@ -63,6 +63,17 @@ object VectorOps {
     best
   }
 
+  /** Requires `v` to be scorable beside vectors of dimension `d`: of that
+    * dimension, with only finite components. The message names `v` by
+    * `what` and the source of `d` by `ref`.
+    */
+  def requireScorable(v: Array[Float], d: Int, what: => String, ref: => String): Unit = {
+    require(v.length == d, s"$what has dimension ${v.length}, not that of $ref, $d")
+    var j = 0
+    while (j < d && java.lang.Float.isFinite(v(j))) j += 1
+    require(j == d, s"$what has a non-finite component, ${v(j)} at $j")
+  }
+
   /** Indices of the `n` L2-nearest centroids, closest first. */
   def nearestN(q: Array[Float], centroids: Array[Array[Float]], n: Int): Array[Int] = {
     val scored = centroids.indices.map(i => (l2Sq(q, centroids(i)), i))

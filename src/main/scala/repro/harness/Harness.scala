@@ -128,14 +128,14 @@ object Harness {
     System.gc()
     val hqiIdx = IndexBuilder.buildHQI(db, attrCols, metric, history,
       HQIOptions(minSize = minSize(n)))
-    log(s"HQI built in ${hqiIdx.buildMillis} ms (${hqiIdx.numPartitions} partitions)")
+    log(s"HQI built in ${hqiIdx.buildMillis} ms (${hqiIdx.numPartitions} partitions) ${hqiIdx.buildPhases.describe}")
     System.gc()
     val flatIdx = IndexBuilder.buildFlat(db, attrCols, metric)
-    log(s"PreFilter built in ${flatIdx.buildMillis} ms")
+    log(s"PreFilter built in ${flatIdx.buildMillis} ms ${flatIdx.buildPhases.describe}")
     val rangeIdx = rangeAttr.map { a =>
       System.gc()
       val r = IndexBuilder.buildRange(db, attrCols, metric, a, RangeParts)
-      log(s"Range built in ${r.buildMillis} ms")
+      log(s"Range built in ${r.buildMillis} ms ${r.buildPhases.describe}")
       r
     }
 

@@ -159,6 +159,25 @@ class DataSourceSpec extends SparkSpec {
     flat.unpersist()
   }
 
+  test("a Range store prunes pushed filters on its attribute and returns Catalyst's counts") {
+    val idx = IndexBuilder.buildRange(db, KGData.AttrCols, Metric.IP, "popularity", numParts = 4)
+    val dir = Files.createTempDirectory("hqi-range").toString
+    HQIStore.write(idx, dir)
+    assert(HQIStore.readMeta(dir).routing == idx.routing)
+    val stored = spark.read.format("hqi").load(dir)
+    val Routing.ByRange(_, bounds) = idx.routing: @unchecked
+    val cut = bounds(1)._1
+    val filters = Seq(col("popularity") < cut, col("popularity") >= cut, col("popularity") === cut,
+                      col("popularity") > Double.PositiveInfinity, col("popularity") === Double.NaN)
+    for (f <- filters) {
+      val want = db.filter(f).count()
+      assert(stored.filter(f).count() == want, s"$f: count differs from Catalyst's $want")
+    }
+    val parts = stored.filter(col("popularity") < cut).rdd.getNumPartitions
+    assert(parts < idx.numPartitions, s"popularity < $cut reads $parts of ${idx.numPartitions} partitions")
+    idx.unpersist()
+  }
+
   test("pushed filters match index predicates by value, not by display form") {
     val (alike, w) = EngineFixtures.alikeTable(spark)
     val idx = IndexBuilder.buildHQI(alike, Seq("genre"), Metric.IP, w, HQIOptions(minSize = 50))

@@ -157,6 +157,15 @@ class EngineSpec extends SparkSpec {
     assert(eager.metrics.filterRows >= N * workload.templates.size)
   }
 
+  test("an eager pass builds bitmaps only for the templates its queries use") {
+    val one = workload.restrictedTo(Set(workload.queries.head.templateId))
+    assert(one.templates.size > 1 && one.queries.map(_.templateId).distinct.size == 1)
+    for (index <- Seq(hqi(this), flat(this))) {
+      val m = BatchEngine.run(index, one, EngineOptions(defaultNprobe = 8, eagerBitmap = true)).metrics
+      assert(m.filterRows == N, s"${index.name}: $m")
+    }
+  }
+
   test("recall is monotone (non-decreasing) in nprobe") {
     val recalls = Seq(1, 4, 16, 64).map { np =>
       val run = BatchEngine.run(flat(this), workload, EngineOptions(defaultNprobe = np))

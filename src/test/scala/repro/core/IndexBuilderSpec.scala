@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, typedLit, when}
 
 import repro.SparkSpec
 import repro.core.engine._
@@ -139,6 +140,23 @@ class IndexBuilderSpec extends SparkSpec {
       }
       idx.unpersist()
     }
+  }
+
+  test("a data vector of another dimension or with a non-finite component is rejected, naming the row") {
+    val small = kg.filter(col("id") < 300)
+    val v = small.filter(col("id") === 17).select("vec").head().getSeq[Float](0)
+    def rejected(bad: Seq[Float]): Seq[String] = {
+      val db = small.withColumn("vec", when(col("id") === 17, typedLit(bad)).otherwise(col("vec")))
+      Seq[() => PartitionedIndex](
+        () => IndexBuilder.buildFlat(db, KGData.AttrCols, Metric.IP),
+        () => IndexBuilder.buildHQI(db, KGData.AttrCols, Metric.IP, history, HQIOptions(minSize = 64)),
+        () => IndexBuilder.buildRange(db, KGData.AttrCols, Metric.IP, "popularity", numParts = 4)
+      ).map(build => intercept[IllegalArgumentException](build()).getMessage)
+    }
+    for (msg <- rejected(v.init) ++ rejected(v :+ 0.5f))
+      assert(msg.matches(".*row 17 has dimension (7|9), not that of row 0, 8"), msg)
+    for (msg <- rejected(v.updated(3, Float.NaN)) ++ rejected(v.updated(5, Float.PositiveInfinity)))
+      assert(msg.contains("row 17 has a non-finite component"), msg)
   }
 
   test("build times are recorded") {

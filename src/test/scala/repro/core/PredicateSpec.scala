@@ -85,11 +85,16 @@ class PredicateSpec extends SparkSpec {
   test("Column form and row form agree on every tuple, for every predicate kind") {
     val d = df(
       (1L, "person", 0.9), (2L, "song", 0.2), (3L, null, 0.5),
-      (4L, "person", null), (5L, "film", 0.7), (6L, "artist", 1.0))
+      (4L, "person", null), (5L, "film", 0.7), (6L, "artist", 1.0),
+      (7L, "song", Double.NaN), (8L, "film", Double.PositiveInfinity),
+      (9L, "person", Double.NegativeInfinity), (10L, "artist", -0.0), (11L, "song", 0.0))
+    // NaN and ±∞ constants too: Catalyst puts NaN above +∞, equal to itself.
+    val special = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, 0.0, -0.0)
     val preds: Seq[Pred] = Seq(
       StrEq("etype", "person"), In("etype", Set("song", "film")), NotNull("pop"),
       NotNull("etype"), NumCmp("pop", Ge, 0.5), NumCmp("pop", Lt, 0.5),
-      NumCmp("pop", EqOp, 0.7), NumCmp("pop", Le, 0.2), NumCmp("pop", Gt, 0.9))
+      NumCmp("pop", EqOp, 0.7), NumCmp("pop", Le, 0.2), NumCmp("pop", Gt, 0.9)) ++
+      (for (v <- special; op <- Seq(Lt, Le, Gt, Ge, EqOp)) yield NumCmp("pop", op, v))
     for (p <- preds) {
       val viaColumn = d.filter(p.toColumn).select("id").collect().map(_.getLong(0)).toSet
       val viaEval = d.collect().filter(evalRow(p, _)).map(_.getLong(0)).toSet
@@ -100,14 +105,21 @@ class PredicateSpec extends SparkSpec {
   test("Column/row agreement holds on randomized data") {
     val rnd = new Random(7)
     val types = Array("person", "song", "film", null)
+    val special = Array(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.0)
     val rows = (0 until 200).map { i =>
       (i.toLong, types(rnd.nextInt(types.length)),
-       if (rnd.nextBoolean()) Double.box(rnd.nextInt(10) / 10.0) else null)
+       rnd.nextInt(8) match {
+         case 0 => null
+         case 1 => Double.box(special(rnd.nextInt(special.length)))
+         case _ => Double.box(rnd.nextInt(10) / 10.0)
+       })
     }
     val d = df(rows: _*)
     val preds: Seq[Pred] = Seq(
       StrEq("etype", "song"), In("etype", Set("person", "film")),
-      NotNull("pop"), NumCmp("pop", Ge, 0.5), NumCmp("pop", Lt, 0.3))
+      NotNull("pop"), NumCmp("pop", Ge, 0.5), NumCmp("pop", Lt, 0.3),
+      NumCmp("pop", Gt, 0.0), NumCmp("pop", EqOp, 0.0)) ++
+      (for (v <- special.toSeq.take(3); op <- Seq(Lt, Ge, EqOp)) yield NumCmp("pop", op, v))
     val collected = d.collect()
     for (p <- preds) {
       val viaColumn = d.filter(p.toColumn).select("id").collect().map(_.getLong(0)).toSet
